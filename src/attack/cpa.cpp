@@ -26,15 +26,10 @@ double confidence_z(double confidence) {
 }
 
 CpaEngine::CpaEngine(std::size_t num_guesses, std::size_t num_samples,
-                     CpaKernelConfig kernel, CpaRankMode rank_mode)
-    : mode_(rank_mode), kernel_(num_guesses, num_samples, kernel) {
+                     CpaKernelConfig kernel)
+    : kernel_(num_guesses, num_samples, kernel) {
   sums_.reset(num_guesses, num_samples);
 }
-
-CpaEngine::CpaEngine(CpaSums sums, CpaKernelConfig kernel, CpaRankMode rank_mode)
-    : mode_(rank_mode),
-      kernel_(sums.num_guesses, sums.num_samples, kernel),
-      sums_(std::move(sums)) {}
 
 void CpaEngine::add_trace(std::span<const double> hypotheses, std::span<const float> samples) {
   kernel_.add_trace(sums_, hypotheses, samples);
@@ -45,34 +40,24 @@ double CpaEngine::correlation(std::size_t guess, std::size_t sample) const {
   return sums_.correlation(guess, sample);
 }
 
-double cpa_peak(const CpaSums& sums, std::size_t guess, CpaRankMode mode) {
+double CpaEngine::peak(std::size_t guess) const {
+  kernel_.flush(sums_);
   double best = -2.0;
-  for (std::size_t s = 0; s < sums.num_samples; ++s) {
-    const double r = sums.correlation(guess, s);
-    best = std::max(best, mode == CpaRankMode::kAbsPeak ? std::fabs(r) : r);
+  for (std::size_t s = 0; s < sums_.num_samples; ++s) {
+    best = std::max(best, std::fabs(sums_.correlation(guess, s)));
   }
   return best;
 }
 
-std::vector<std::size_t> cpa_ranking(const CpaSums& sums, CpaRankMode mode) {
-  const std::size_t g_ = sums.num_guesses;
+std::vector<std::size_t> CpaEngine::ranking() const {
+  const std::size_t g_ = sums_.num_guesses;
   std::vector<double> peaks(g_);
-  for (std::size_t g = 0; g < g_; ++g) peaks[g] = cpa_peak(sums, g, mode);
+  for (std::size_t g = 0; g < g_; ++g) peaks[g] = peak(g);
   std::vector<std::size_t> order(g_);
   for (std::size_t g = 0; g < g_; ++g) order[g] = g;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) { return peaks[a] > peaks[b]; });
   return order;
-}
-
-double CpaEngine::peak(std::size_t guess) const {
-  kernel_.flush(sums_);
-  return cpa_peak(sums_, guess, mode_);
-}
-
-std::vector<std::size_t> CpaEngine::ranking() const {
-  kernel_.flush(sums_);
-  return cpa_ranking(sums_, mode_);
 }
 
 StreamingScan::StreamingScan(std::vector<std::vector<float>> sample_columns,

@@ -131,44 +131,6 @@ struct CpaSums {
   [[nodiscard]] double correlation(std::size_t guess, std::size_t sample) const;
 };
 
-// --- shard-fold merge and wire serde (fleet / distributed CPA) ------------
-//
-// A trace stream cut into shards can be folded shard-by-shard (each
-// shard its own CpaSums, possibly in another process) and recombined:
-// merge_cpa_sums rebases `src`'s shifted sums onto `dst`'s first-trace
-// references with the exact cross-term expansion
-//   sum (x - r_dst)   = sum (x - r_src)   + n*d
-//   sum (x - r_dst)^2 = sum (x - r_src)^2 + 2d*sum(x - r_src) + n*d^2
-//   (d = r_src - r_dst, per guess / per sample; sum_ht gains the
-//    corresponding dh/dt cross terms)
-// and accumulates in a fixed per-cell expression order. Merging is
-// therefore a pure function of the shard decomposition: folding shards
-// in shard-index order through merge_cpa_sums gives bit-identical sums
-// whether the shard folds were produced in this process, on another
-// thread (exec::parallel_reduce with this as the merge), or round-
-// tripped through the fleet wire format -- the determinism pin of
-// tests/test_fleet.cpp. The merged sums agree with the unsharded serial
-// fold exactly in real arithmetic (ULP-level differences in floating
-// point; the shard plan is part of the statistics' identity, like
-// batch_traces). An empty `dst` adopts `src` wholesale. A shape
-// mismatch returns false and leaves `dst` untouched: folds arrive off
-// the fleet wire from peers we don't control, so the mismatch is a
-// checked error in every build mode (it used to be assert()-only --
-// out-of-bounds writes in release), and the coordinator surfaces it as
-// a corrupt-frame worker failure.
-[[nodiscard]] bool merge_cpa_sums(CpaSums& dst, const CpaSums& src);
-
-// Byte-exact serde of a fold: every double travels as its raw IEEE-754
-// bit pattern (little-endian), so deserialize(serialize(s)) == s bit
-// for bit. `deserialize` reads one fold at `offset` (advanced past it
-// on success) and returns false on truncated or malformed input --
-// including headers no kernel can produce (have_ref inconsistent with
-// traces, a trace count beyond any campaign, a non-empty fold with an
-// empty shape), so garbage is rejected before merge_cpa_sums sees it.
-void serialize_cpa_sums(std::vector<std::uint8_t>& out, const CpaSums& sums);
-[[nodiscard]] bool deserialize_cpa_sums(std::span<const std::uint8_t> bytes,
-                                        std::size_t& offset, CpaSums& out);
-
 // --- the batch-buffered kernel --------------------------------------------
 
 // Buffers up to batch_traces (hypotheses, samples) pairs and folds

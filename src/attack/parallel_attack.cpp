@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <optional>
 
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
@@ -43,100 +42,20 @@ std::vector<ComponentResult> attack_all_components_parallel(
   return results;
 }
 
-bool attack_all_components_from_archive(const std::string& archive_path,
-                                        const ComponentConfigFn& config_for,
-                                        exec::ThreadPool* pool,
-                                        std::vector<ComponentResult>& out,
-                                        std::string* error, bool single_pass) {
-  obs::Span span("attack.all_components.archive");
-  std::size_t hn = 0;
-  {
-    tracestore::ArchiveReader probe;
-    if (!probe.open(archive_path)) {
-      if (error != nullptr) *error = probe.error();
-      return false;
-    }
-    hn = probe.meta().num_slots;
-  }
-  const std::size_t n = hn * 2;
-  out.assign(n, ComponentResult{});
-
-  if (single_pass) {
-    // One serial demux scan, then the attacks fan out in memory.
-    tracestore::ArchiveReader reader;
-    if (!reader.open(archive_path)) {
-      if (error != nullptr) *error = reader.error();
-      return false;
-    }
-    count_archive_scan();
-    std::vector<sca::TraceSet> sets;
-    if (!sca::load_all_trace_sets(reader, sets)) {
-      if (error != nullptr) *error = "failed to demux archive records";
-      return false;
-    }
-    for (std::size_t slot = 0; slot < hn; ++slot) {
-      if (sets[slot].traces.empty()) {
-        if (error != nullptr) *error = "no records for slot " + std::to_string(slot);
-        return false;
-      }
-    }
-    exec::parallel_for_chunks(pool, n, n, [&](exec::ChunkRange r, std::size_t) {
-      for (std::size_t idx = r.begin; idx < r.end; ++idx) {
-        const ComponentIndex ci = component_index(idx, hn);
-        const ComponentDataset ds = build_component_dataset(sets[ci.slot], ci.imag);
-        out[idx] = attack_component(ds, config_for(ci));
-      }
-    });
-    obs::MetricsRegistry::global().counter("attack.components").add(n);
-    return true;
-  }
-
-  std::mutex err_mu;
-  std::string first_error;
-  exec::parallel_for_chunks(pool, n, n, [&](exec::ChunkRange r, std::size_t) {
-    for (std::size_t idx = r.begin; idx < r.end; ++idx) {
-      const ComponentIndex ci = component_index(idx, hn);
-      tracestore::ArchiveReader reader;  // private reader per task
-      if (!reader.open(archive_path)) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (first_error.empty()) first_error = reader.error();
-        continue;
-      }
-      if (!attack_component_from_archive(reader, ci.slot, ci.imag, config_for(ci),
-                                         out[idx])) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (first_error.empty()) {
-          first_error = "no records for slot " + std::to_string(ci.slot);
-        }
-      }
-    }
-  });
-  if (!first_error.empty()) {
-    if (error != nullptr) *error = first_error;
-    return false;
-  }
-  obs::MetricsRegistry::global().counter("attack.components").add(n);
-  return true;
-}
-
 bool attack_components_gated(const std::string& archive_path, const QualityConfig& gate,
                              const ComponentConfigFn& config_for, exec::ThreadPool* pool,
                              std::span<const std::size_t> components,
                              std::vector<ComponentResult>& results,
                              std::vector<std::size_t>& accepted_traces,
-                             QualityReport* quality, std::string* error, bool single_pass) {
+                             QualityReport* quality, std::string* error) {
   obs::Span span("attack.components.gated");
-  std::size_t hn = 0;
-  unsigned jitter_max = 0;
-  {
-    tracestore::ArchiveReader probe;
-    if (!probe.open(archive_path)) {
-      if (error != nullptr) *error = probe.error();
-      return false;
-    }
-    hn = probe.meta().num_slots;
-    jitter_max = probe.meta().jitter_max;
+  tracestore::ArchiveReader reader;
+  if (!reader.open(archive_path)) {
+    if (error != nullptr) *error = reader.error();
+    return false;
   }
+  const std::size_t hn = reader.meta().num_slots;
+  const unsigned jitter_max = reader.meta().jitter_max;
   const std::size_t n = hn * 2;
   if (results.size() != n) results.assign(n, ComponentResult{});
   if (accepted_traces.size() != n) accepted_traces.assign(n, 0);
@@ -148,35 +67,28 @@ bool attack_components_gated(const std::string& archive_path, const QualityConfi
   // Single-pass demux: collect the requested components' unique slots,
   // fill them in ONE serial archive scan, then screen/attack private
   // copies in parallel. The screened copy per component keeps results
-  // and the aggregate report identical to the per-component path.
-  std::vector<sca::TraceSet> slot_sets;
-  std::vector<std::size_t> slot_of;  // slot -> index into slot_sets
-  if (single_pass) {
-    std::vector<std::size_t> slots;
-    for (const std::size_t idx : components) {
-      if (idx >= n) {
-        if (first_error.empty()) {
-          first_error = "component id " + std::to_string(idx) + " out of range";
-        }
-        continue;
+  // and the aggregate report independent of which components share a
+  // slot.
+  std::vector<std::size_t> slots;
+  for (const std::size_t idx : components) {
+    if (idx >= n) {
+      if (first_error.empty()) {
+        first_error = "component id " + std::to_string(idx) + " out of range";
       }
-      slots.push_back(component_index(idx, hn).slot);
+      continue;
     }
-    std::sort(slots.begin(), slots.end());
-    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-    tracestore::ArchiveReader reader;
-    if (!reader.open(archive_path)) {
-      if (error != nullptr) *error = reader.error();
-      return false;
-    }
-    count_archive_scan();
-    if (!sca::load_trace_sets_for(reader, slots, slot_sets)) {
-      if (error != nullptr) *error = "failed to demux archive records";
-      return false;
-    }
-    slot_of.assign(hn, static_cast<std::size_t>(-1));
-    for (std::size_t i = 0; i < slots.size(); ++i) slot_of[slots[i]] = i;
+    slots.push_back(component_index(idx, hn).slot);
   }
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  std::vector<sca::TraceSet> slot_sets;
+  count_archive_scan();
+  if (!sca::load_trace_sets_for(reader, slots, slot_sets)) {
+    if (error != nullptr) *error = "failed to demux archive records";
+    return false;
+  }
+  std::vector<std::size_t> slot_of(hn, static_cast<std::size_t>(-1));  // slot -> set
+  for (std::size_t i = 0; i < slots.size(); ++i) slot_of[slots[i]] = i;
 
   exec::parallel_for_chunks(pool, components.size(), components.size(),
                             [&](exec::ChunkRange r, std::size_t) {
@@ -190,19 +102,7 @@ bool attack_components_gated(const std::string& archive_path, const QualityConfi
         continue;
       }
       const ComponentIndex ci = component_index(idx, hn);
-      sca::TraceSet set;
-      if (single_pass) {
-        set = slot_sets[slot_of[ci.slot]];  // private screened copy
-      } else {
-        tracestore::ArchiveReader reader;  // private reader per task
-        if (!reader.open(archive_path)) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (first_error.empty()) first_error = reader.error();
-          continue;
-        }
-        count_archive_scan();
-        if (!sca::load_trace_set(reader, ci.slot, set)) set.traces.clear();
-      }
+      sca::TraceSet set = slot_sets[slot_of[ci.slot]];  // private screened copy
       if (set.traces.empty()) {
         std::lock_guard<std::mutex> lock(mu);
         if (first_error.empty()) {
@@ -232,35 +132,6 @@ bool attack_components_gated(const std::string& archive_path, const QualityConfi
     return false;
   }
   obs::MetricsRegistry::global().counter("attack.components").add(components.size());
-  return true;
-}
-
-bool run_cpa_streaming_many(const std::string& archive_path,
-                            std::span<const StreamingCpaSpec> specs, exec::ThreadPool* pool,
-                            std::vector<CpaEngine>& results, std::string* error) {
-  obs::Span span("attack.cpa_many");
-  std::vector<std::optional<CpaEngine>> slots(specs.size());
-  std::mutex err_mu;
-  std::string first_error;
-  exec::parallel_for_chunks(pool, specs.size(), specs.size(),
-                            [&](exec::ChunkRange r, std::size_t) {
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      tracestore::ArchiveReader reader;
-      if (!reader.open(archive_path)) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (first_error.empty()) first_error = reader.error();
-        continue;
-      }
-      slots[i].emplace(run_cpa_streaming(reader, specs[i]));
-    }
-  });
-  if (!first_error.empty()) {
-    if (error != nullptr) *error = first_error;
-    return false;
-  }
-  results.clear();
-  results.reserve(specs.size());
-  for (auto& s : slots) results.push_back(std::move(*s));  // index order
   return true;
 }
 

@@ -4,9 +4,8 @@
 // The paper's cost model is embarrassingly parallel across the n/2
 // complex slots (each component's extend-and-prune pipeline touches
 // only its own slot's traces), so the parallel surface here is
-// *across* components and CPA passes, never inside one: each task runs
-// the unmodified serial attack on one component (or one streamed CPA
-// pass on its own ArchiveReader) and writes the result into its own
+// *across* components, never inside one: each task runs the unmodified
+// serial attack on one component and writes the result into its own
 // index of a pre-sized output vector. Reduction is "collect in index
 // order", which makes every function below bit-identical to its serial
 // loop at any worker count -- the determinism pin of
@@ -20,7 +19,6 @@
 
 #include "attack/extend_prune.h"
 #include "attack/quality.h"
-#include "attack/streaming_cpa.h"
 #include "exec/thread_pool.h"
 #include "sca/campaign.h"
 
@@ -50,30 +48,8 @@ using ComponentConfigFn = std::function<ComponentAttackConfig(const ComponentInd
     const std::vector<sca::TraceSet>& sets, const ComponentConfigFn& config_for,
     exec::ThreadPool* pool);
 
-// Serial twin, spelled out for callers that want the intent explicit.
-[[nodiscard]] inline std::vector<ComponentResult> attack_all_components_serial(
-    const std::vector<sca::TraceSet>& sets, const ComponentConfigFn& config_for) {
-  return attack_all_components_parallel(sets, config_for, nullptr);
-}
-
-// Archive-backed variant. single_pass = true (default): ONE serial
-// archive scan demultiplexes every slot's records up front
-// (sca::load_all_trace_sets), then the component attacks fan out over
-// the pool in memory -- 1 archive pass total instead of one per
-// component, at the price of holding the whole campaign resident.
-// single_pass = false keeps the legacy shape: every task opens its OWN
-// ArchiveReader (readers are single-threaded objects) and loads just
-// its slot's records, so peak memory is one slot per in-flight task.
-// Results are bit-identical either way: both paths hand each component
-// its slot's records in archive order.
-[[nodiscard]] bool attack_all_components_from_archive(const std::string& archive_path,
-                                                      const ComponentConfigFn& config_for,
-                                                      exec::ThreadPool* pool,
-                                                      std::vector<ComponentResult>& out,
-                                                      std::string* error = nullptr,
-                                                      bool single_pass = true);
-
-// Quality-gated, subset-capable variant: attacks only the listed global
+// Archive-backed, quality-gated, subset-capable variant -- the one
+// archive path of the attack layer: attacks only the listed global
 // component ids (resume and re-measurement both need "just these"),
 // screening each task's slot records through the quality gate before
 // dataset extraction. `results` and `accepted_traces` are indexed by
@@ -87,15 +63,14 @@ using ComponentConfigFn = std::function<ComponentAttackConfig(const ComponentInd
 // on (archive bytes, gate config, per-component config), never the
 // worker count.
 //
-// single_pass = true (default): the listed components' slots are
-// demultiplexed in ONE serial archive scan (sca::load_trace_sets_for),
-// then each component screens and attacks a private copy of its slot's
-// set in parallel -- 1 archive pass per call instead of one per
-// component, with memory O(requested slots). Each component still gets
-// its own screened copy, so results, accepted_traces, and the summed
-// QualityReport (a slot shared by Re and Im counts twice, as before)
-// are identical to the per-component path. single_pass = false keeps
-// the legacy one-reader-per-task shape.
+// The listed components' slots are demultiplexed in ONE serial archive
+// scan (sca::load_trace_sets_for), then each component screens and
+// attacks a private copy of its slot's set in parallel -- 1 archive
+// pass per call, memory O(requested slots). A slot shared by Re and Im
+// is screened once per component, so it counts twice in the summed
+// QualityReport. A disabled gate (the default QualityConfig) leaves
+// every trace in place: results then equal
+// attack_all_components_parallel over the same in-memory sets.
 [[nodiscard]] bool attack_components_gated(const std::string& archive_path,
                                            const QualityConfig& gate,
                                            const ComponentConfigFn& config_for,
@@ -104,17 +79,6 @@ using ComponentConfigFn = std::function<ComponentAttackConfig(const ComponentInd
                                            std::vector<ComponentResult>& results,
                                            std::vector<std::size_t>& accepted_traces,
                                            QualityReport* quality = nullptr,
-                                           std::string* error = nullptr,
-                                           bool single_pass = true);
-
-// Fans independent streamed CPA passes across the pool, one private
-// ArchiveReader per task. results[i] is the engine of specs[i]; each
-// pass is the unsplit serial fold (bit-identical to run_cpa_streaming
-// on the same spec) -- parallelism is across passes only.
-[[nodiscard]] bool run_cpa_streaming_many(const std::string& archive_path,
-                                          std::span<const StreamingCpaSpec> specs,
-                                          exec::ThreadPool* pool,
-                                          std::vector<CpaEngine>& results,
-                                          std::string* error = nullptr);
+                                           std::string* error = nullptr);
 
 }  // namespace fd::attack

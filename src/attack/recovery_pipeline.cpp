@@ -24,8 +24,8 @@ namespace {
 
 // Binds a checkpoint to its experiment: everything that changes the
 // captured bytes or the per-component decisions participates; the
-// thread count, checkpoint cadence, and archive I/O strategy
-// (single_pass) are wall-time knobs and deliberately do not. The CPA
+// thread count, checkpoint cadence, and guess-space scan shards
+// (cpa_shards) are wall-time knobs and deliberately do not. The CPA
 // kernel batch DOES participate: reassociation inside a batch shifts
 // correlations at the ULP level (cpa_kernel.h).
 std::uint64_t hash_experiment(const falcon::KeyPair& victim,
@@ -250,8 +250,8 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
       if (st.done[idx] == 0) todo.push_back(idx);
     }
     // Without checkpointing there is nothing to persist between
-    // batches, so the whole todo set runs as one batch -- with
-    // single_pass that makes the attack round exactly ONE archive scan.
+    // batches, so the whole todo set runs as one batch -- which makes
+    // the attack round exactly ONE archive scan.
     const std::size_t batch_size =
         !checkpointing || config.checkpoint_every == 0
             ? std::max<std::size_t>(1, todo.size())
@@ -269,8 +269,7 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
       QualityReport q;
       std::string err;
       if (!attack_components_gated(config.archive_path, config.quality, config_for,
-                                   pool.get(), batch, results, accepted, &q, &err,
-                                   config.single_pass)) {
+                                   pool.get(), batch, results, accepted, &q, &err)) {
         throw std::runtime_error("component attack failed: " + err);
       }
       out.quality.add(q);
@@ -319,8 +318,7 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
       // Only the doubtful components re-run, now over the larger D.
       QualityReport q;
       if (!attack_components_gated(config.archive_path, config.quality, config_for,
-                                   pool.get(), low, results, accepted, &q, &err,
-                                   config.single_pass)) {
+                                   pool.get(), low, results, accepted, &q, &err)) {
         throw std::runtime_error("re-measurement attack failed: " + err);
       }
       out.quality.add(q);

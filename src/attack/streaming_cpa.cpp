@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 
 #include "obs/metrics.h"
 #include "obs/sink.h"
@@ -22,9 +21,7 @@ class CpaFold {
  public:
   explicit CpaFold(const StreamingCpaSpec& spec)
       : spec_(spec),
-        sharded_(spec.fold_shards > 1),
-        engine_(spec.guesses.size(), spec.sample_offsets.size(), spec.kernel,
-                spec.rank_mode),
+        engine_(spec.guesses.size(), spec.sample_offsets.size(), spec.kernel),
         hyps_(spec.guesses.size()),
         samps_(spec.sample_offsets.size()) {
     assert(!spec.guesses.empty() && !spec.sample_offsets.empty() && spec.model);
@@ -38,16 +35,6 @@ class CpaFold {
       if (base + ww::kEventsPerMul > samples.size()) continue;  // foreign layout
       const fpr::Fpr known = (block == 0 || block == 3) ? known_re : known_im;
       const KnownOperand k = KnownOperand::from(known);
-      if (sharded_) {
-        // Deferred fold: buffer the view (compact -- the hypotheses are
-        // recomputed per shard from the operand) and fold at take().
-        defer_ops_.push_back(k);
-        for (std::size_t c = 0; c < spec_.sample_offsets.size(); ++c) {
-          defer_samps_.push_back(samples[base + spec_.sample_offsets[c]]);
-        }
-        contributed = true;
-        continue;
-      }
       for (std::size_t g = 0; g < spec_.guesses.size(); ++g) {
         hyps_[g] = spec_.model(spec_.guesses[g], k);
       }
@@ -61,7 +48,6 @@ class CpaFold {
     // it must not advance attack.cpa.windows or the snapshot cadence.
     if (!contributed) return;
     ++windows_;
-    if (sharded_) return;  // no engine state mid-scan: final snapshot only
     if (spec_.snapshot_every != 0 && windows_ % spec_.snapshot_every == 0) {
       snapshot();
       snapshot_emitted_ = true;
@@ -71,7 +57,6 @@ class CpaFold {
   }
 
   [[nodiscard]] CpaEngine take() {
-    if (sharded_) fold_deferred();
     // Final snapshot so the end state is always on record, even when
     // the trace count is not a multiple of the cadence.
     if (spec_.snapshot_every != 0 && !snapshot_emitted_ && windows_ > 0) snapshot();
@@ -111,53 +96,10 @@ class CpaFold {
         .emit();
   }
 
-  // Folds the deferred view stream: exec::static_chunks cuts it into
-  // fold_shards contiguous shards, each shard folds on its own worker
-  // into its own CpaSums (private kernel, canonical in-shard order),
-  // and parallel_reduce merges the shard folds in shard-index order
-  // through merge_cpa_sums. The merge tree depends only on
-  // (stream length, fold_shards), never on the pool or timing, so the
-  // result is bit-identical at any worker count.
-  void fold_deferred() {
-    const std::size_t gg = spec_.guesses.size();
-    const std::size_t ss = spec_.sample_offsets.size();
-    const std::size_t total = defer_ops_.size();
-    if (total == 0) return;
-    CpaSums merged = exec::parallel_reduce(
-        spec_.fold_pool, total, spec_.fold_shards, CpaSums{},
-        [&](exec::ChunkRange r) {
-          CpaSums sums;
-          CpaBatchKernel kernel(gg, ss, spec_.kernel);
-          std::vector<double> hyps(gg);
-          for (std::size_t i = r.begin; i < r.end; ++i) {
-            for (std::size_t g = 0; g < gg; ++g) {
-              hyps[g] = spec_.model(spec_.guesses[g], defer_ops_[i]);
-            }
-            kernel.add_trace(sums, hyps,
-                             std::span<const float>(defer_samps_.data() + i * ss, ss));
-          }
-          kernel.flush(sums);
-          return sums;
-        },
-        [](CpaSums acc, CpaSums src) {
-          // Shards share one shape by construction.
-          const bool ok = merge_cpa_sums(acc, src);
-          assert(ok);
-          (void)ok;
-          return acc;
-        });
-    engine_ = CpaEngine(std::move(merged), spec_.kernel, spec_.rank_mode);
-    defer_ops_.clear();
-    defer_samps_.clear();
-  }
-
   const StreamingCpaSpec& spec_;
-  bool sharded_ = false;
   CpaEngine engine_;
   std::vector<double> hyps_;
   std::vector<float> samps_;
-  std::vector<KnownOperand> defer_ops_;  // deferred views (sharded fold)
-  std::vector<float> defer_samps_;       // views x S, row-contiguous
   std::size_t windows_ = 0;
   bool snapshot_emitted_ = false;
 };
@@ -184,52 +126,6 @@ CpaEngine run_cpa_streaming(tracestore::ArchiveReader& reader,
   return fold.take();
 }
 
-std::vector<CpaEngine> run_cpa_streaming_multi(tracestore::ArchiveReader& reader,
-                                               std::span<const StreamingCpaSpec> specs) {
-  // One fold per spec; CpaFold pins a reference to its spec, so folds
-  // live behind stable pointers.
-  std::vector<std::unique_ptr<CpaFold>> folds;
-  folds.reserve(specs.size());
-  std::size_t max_slot = 0;
-  for (const auto& spec : specs) {
-    folds.push_back(std::make_unique<CpaFold>(spec));
-    max_slot = std::max(max_slot, spec.slot);
-  }
-  // Slot -> interested spec indices (specs may share a slot).
-  std::vector<std::vector<std::size_t>> by_slot(max_slot + 1);
-  for (std::size_t i = 0; i < specs.size(); ++i) by_slot[specs[i].slot].push_back(i);
-
-  std::vector<std::size_t> used(specs.size(), 0);
-  // The scan can stop early only if every spec has a trace budget.
-  std::size_t unsaturated = 0;
-  for (const auto& spec : specs) {
-    if (spec.max_traces == 0) unsaturated = specs.size() + 1;  // never early-exit
-  }
-  if (unsaturated == 0) unsaturated = specs.size();
-
-  reader.rewind();
-  if (!specs.empty()) count_archive_scan();
-  tracestore::TraceRecord rec;
-  while (unsaturated > 0 && reader.next(rec)) {
-    if (rec.slot >= by_slot.size()) continue;
-    for (const std::size_t i : by_slot[rec.slot]) {
-      const auto& spec = specs[i];
-      if (spec.max_traces != 0 && used[i] >= spec.max_traces) continue;
-      folds[i]->add_window(fpr::Fpr::from_bits(rec.known_re_bits),
-                           fpr::Fpr::from_bits(rec.known_im_bits), rec.samples);
-      ++used[i];
-      if (spec.max_traces != 0 && used[i] == spec.max_traces && unsaturated <= specs.size()) {
-        --unsaturated;
-      }
-    }
-  }
-
-  std::vector<CpaEngine> out;
-  out.reserve(specs.size());
-  for (auto& fold : folds) out.push_back(fold->take());
-  return out;
-}
-
 CpaEngine run_cpa_inmemory(const sca::TraceSet& set, const StreamingCpaSpec& spec) {
   CpaFold fold(spec);
   const std::size_t limit = spec.max_traces == 0
@@ -240,17 +136,6 @@ CpaEngine run_cpa_inmemory(const sca::TraceSet& set, const StreamingCpaSpec& spe
     fold.add_window(ct.known_re, ct.known_im, ct.trace.samples);
   }
   return fold.take();
-}
-
-bool attack_component_from_archive(tracestore::ArchiveReader& reader, std::size_t slot,
-                                   bool imag_part, const ComponentAttackConfig& config,
-                                   ComponentResult& out) {
-  sca::TraceSet set;
-  count_archive_scan();
-  if (!sca::load_trace_set(reader, slot, set) || set.traces.empty()) return false;
-  const ComponentDataset ds = build_component_dataset(set, imag_part);
-  out = attack_component(ds, config);
-  return true;
 }
 
 }  // namespace fd::attack

@@ -15,12 +15,6 @@
 // the same (query, view) order and the archive stores samples and known
 // operands losslessly (both paths own the same CpaBatchKernel fold).
 // Tests pin this equivalence exactly.
-//
-// run_cpa_streaming_multi extends the contract across components: ONE
-// archive pass demultiplexes records by slot into per-spec folds, and
-// each spec's engine is bit-identical to what a dedicated
-// run_cpa_streaming pass would have produced, because the records of
-// one slot arrive in the same order either way.
 
 #include <cstdint>
 #include <functional>
@@ -28,7 +22,6 @@
 #include <vector>
 
 #include "attack/cpa.h"
-#include "attack/extend_prune.h"
 #include "attack/hypothesis.h"
 #include "sca/campaign.h"
 #include "tracestore/archive.h"
@@ -50,26 +43,8 @@ struct StreamingCpaSpec {
   std::function<double(std::uint32_t, const KnownOperand&)> model;
   std::size_t max_traces = 0;  // 0 = every trace in the archive
   // Accumulation kernel (batch size is part of the statistics'
-  // identity, see cpa_kernel.h) and ranking mode of the engine.
+  // identity, see cpa_kernel.h).
   CpaKernelConfig kernel;
-  CpaRankMode rank_mode = CpaRankMode::kAbsPeak;
-
-  // Trace-stream fold sharding. fold_shards <= 1 reproduces the
-  // historical incremental fold bit for bit. With fold_shards > 1 the
-  // scan buffers each folded view's (known operand, samples) and the
-  // fold runs at the end: exec::static_chunks cuts the view stream into
-  // fold_shards contiguous shards, each shard folds on its own worker
-  // into its own CpaSums through a private CpaBatchKernel, and the
-  // shard folds recombine in shard-index order through merge_cpa_sums.
-  // The result is a pure function of (view stream, kernel, fold_shards)
-  // -- bit-identical at ANY worker count, including fold_pool = nullptr
-  // -- while fold_shards itself joins batch_traces in the statistics'
-  // identity (the merged sums match the serial fold to ULP-level
-  // reassociation). The model must be thread-safe (the leakage models
-  // are pure functions). Snapshot telemetry degrades to the final
-  // snapshot only: there is no incremental engine state mid-scan.
-  std::size_t fold_shards = 1;
-  exec::ThreadPool* fold_pool = nullptr;  // not owned; nullptr = inline
 
   // --- telemetry (no effect on the accumulated statistics) ---------------
   //
@@ -96,27 +71,9 @@ struct StreamingCpaSpec {
 [[nodiscard]] CpaEngine run_cpa_streaming(tracestore::ArchiveReader& reader,
                                           const StreamingCpaSpec& spec);
 
-// Single-pass multi-component driver: ONE rewind+scan of the archive
-// demultiplexes records by slot into a fold per spec. result[i] is
-// bit-identical to run_cpa_streaming(reader, specs[i]) -- at 1 archive
-// pass instead of specs.size(). Specs may share a slot (e.g. the Re and
-// Im components of one FFT coefficient); each fold then consumes the
-// same records independently. Per-spec max_traces is honored, and the
-// scan stops early once every spec is saturated.
-[[nodiscard]] std::vector<CpaEngine> run_cpa_streaming_multi(
-    tracestore::ArchiveReader& reader, std::span<const StreamingCpaSpec> specs);
-
 // The same fold over an in-memory TraceSet -- the reference the
 // streamed path must reproduce bit for bit.
 [[nodiscard]] CpaEngine run_cpa_inmemory(const sca::TraceSet& set,
                                          const StreamingCpaSpec& spec);
-
-// Capture-once/attack-many convenience: reload one slot's traces from
-// the archive and run the full extend-and-prune component attack on
-// them. Memory is bounded by that single slot's records.
-[[nodiscard]] bool attack_component_from_archive(tracestore::ArchiveReader& reader,
-                                                 std::size_t slot, bool imag_part,
-                                                 const ComponentAttackConfig& config,
-                                                 ComponentResult& out);
 
 }  // namespace fd::attack

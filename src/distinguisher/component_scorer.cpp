@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <functional>
 #include <initializer_list>
 #include <vector>
 
@@ -45,18 +44,17 @@ void note_phase(const ComponentAttackConfig& config, std::string_view phase,
       .emit();
 }
 
-using MakeFn = std::function<std::unique_ptr<Distinguisher>(std::size_t num_guesses)>;
-
 // Scores `count` guesses over one phase's offset columns through a
-// factory-built distinguisher, chunked so per-observation hypothesis
-// staging stays O(chunk * C) even for the exhaustive 2^25/2^27 spaces.
+// distinguisher built by make(num_guesses) -- a TemplateDistinguisher or
+// LrDistinguisher -- chunked so per-observation hypothesis staging
+// stays O(chunk * C) even for the exhaustive 2^25/2^27 spaces.
 // Per-guess means are comparable across chunks (each chunk sees the
 // identical observation stream), so the global ranking is exact.
-template <typename GuessAt, typename HypFn>
+template <typename MakeDist, typename GuessAt, typename HypFn>
 PhaseOutcome run_profiled_phase(const ComponentDataset& ds,
                                 std::span<const std::size_t> offsets, std::uint64_t count,
                                 GuessAt&& guess_at, std::size_t keep, HypFn&& hyp,
-                                const MakeFn& make) {
+                                const MakeDist& make) {
   PhaseOutcome out;
   const std::size_t c_ = offsets.size();
   const std::size_t d = ds.num_traces;
@@ -92,13 +90,12 @@ PhaseOutcome run_profiled_phase(const ComponentDataset& ds,
             hyps[gi * c_ + ci] = hyp(guess, k, offsets[ci]);
           }
         }
-        const TraceObservation obs{std::span<const double>(hyps.data(), gn * c_),
-                                   std::span<const float>(smp.data() + (v * d + t) * c_, c_)};
-        dist->observe({&obs, 1});
+        dist.observe(std::span<const double>(hyps.data(), gn * c_),
+                     std::span<const float>(smp.data() + (v * d + t) * c_, c_));
       }
     }
     for (std::size_t gi = 0; gi < gn; ++gi) {
-      all.push_back({guess_at(g0 + gi), dist->score(gi), dist->score_sd(gi)});
+      all.push_back({guess_at(g0 + gi), dist.score(gi), dist.score_sd(gi)});
     }
   }
 
@@ -189,8 +186,8 @@ ComponentResult staged_attack(const ComponentDataset& ds, const ComponentAttackC
   };
   const auto run = [&](const std::vector<std::size_t>& offs, std::uint64_t count,
                        auto&& guess_at, std::size_t keep, auto&& hyp) {
-    const MakeFn make = scorer.phase_maker(offs, config);
-    return run_profiled_phase(ds, offs, count, guess_at, keep, hyp, make);
+    return run_profiled_phase(ds, offs, count, guess_at, keep, hyp,
+                              scorer.phase_maker(offs, config));
   };
 
   // 1. Sign.
@@ -319,8 +316,8 @@ struct TemplatePhases {
 
   [[nodiscard]] bool modeled(std::size_t off) const { return prof.modeled[off]; }
   [[nodiscard]] static bool exp_tiebreak() { return false; }
-  [[nodiscard]] MakeFn phase_maker(const std::vector<std::size_t>& offs,
-                                   const ComponentAttackConfig&) const {
+  [[nodiscard]] auto phase_maker(const std::vector<std::size_t>& offs,
+                                 const ComponentAttackConfig&) const {
     std::vector<double> alpha(offs.size()), beta(offs.size());
     for (std::size_t i = 0; i < offs.size(); ++i) {
       alpha[i] = prof.alpha[offs[i]];
@@ -329,7 +326,7 @@ struct TemplatePhases {
     std::vector<double> prec = phase_precision(prof, offs);
     return [alpha = std::move(alpha), beta = std::move(beta),
             prec = std::move(prec)](std::size_t g) {
-      return std::make_unique<TemplateDistinguisher>(g, alpha, beta, prec);
+      return TemplateDistinguisher(g, alpha, beta, prec);
     };
   }
 };
@@ -348,14 +345,14 @@ struct LrPhases {
     return off != ww::kOffExpX && trained[off];
   }
   [[nodiscard]] static bool exp_tiebreak() { return true; }
-  [[nodiscard]] MakeFn phase_maker(const std::vector<std::size_t>& offs,
-                                   const ComponentAttackConfig& config) const {
+  [[nodiscard]] auto phase_maker(const std::vector<std::size_t>& offs,
+                                 const ComponentAttackConfig& config) const {
     std::vector<LrHead> sub;
     sub.reserve(offs.size());
     for (const std::size_t off : offs) sub.push_back(heads[off]);
     const std::size_t batch = config.kernel.batch_traces;
     return [sub = std::move(sub), batch](std::size_t g) {
-      return std::make_unique<LrDistinguisher>(g, sub, batch);
+      return LrDistinguisher(g, sub, batch);
     };
   }
 };

@@ -1,12 +1,9 @@
 #include "distinguisher/lr_backend.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <stdexcept>
 
 #include "attack/cpa_kernel.h"
-#include "distinguisher/template_backend.h"
 
 namespace fd::distinguisher {
 
@@ -69,63 +66,45 @@ LrDistinguisher::LrDistinguisher(std::size_t num_guesses, std::vector<LrHead> he
       stage_hh_(num_guesses * (batch_traces == 0 ? 1 : batch_traces)),
       u_(heads_.size()) {}
 
-void LrDistinguisher::observe(std::span<const TraceObservation> batch) {
+void LrDistinguisher::observe(std::span<const double> hypotheses,
+                              std::span<const float> samples) {
   const std::size_t c_ = heads_.size();
   const std::size_t g_ = sum_.size();
-  for (const TraceObservation& obs : batch) {
-    assert(obs.hypotheses.size() == g_ * c_ && obs.samples.size() >= c_);
-    // Guess-independent part of every contribution: the centered
-    // logit, computed once per trace.
-    for (std::size_t c = 0; c < c_; ++c) {
-      const LrHead& h = heads_[c];
-      const double z = (static_cast<double>(obs.samples[c]) - h.mean) / h.sd;
-      u_[c] = h.w * z + h.b - h.u_mean;
-    }
-    // Stage one contribution per guess at batch slot `pending_` --
-    // guess-major rows, contiguous over the batch index, the CPA
-    // kernel's tiling transposed onto per-guess scores.
-    for (std::size_t g = 0; g < g_; ++g) {
-      const double* hyp = obs.hypotheses.data() + g * c_;
-      double ll = 0.0, hh = 0.0;
-      for (std::size_t c = 0; c < c_; ++c) {
-        const double hc = hyp[c] / heads_[c].max_hw - heads_[c].h_mean;
-        ll += hc * u_[c];
-        hh += hc * hc;
-      }
-      stage_[g * batch_traces_ + pending_] = ll;
-      stage_hh_[g * batch_traces_ + pending_] = hh;
-    }
-    ++traces_;
-    if (++pending_ == batch_traces_) flush();
+  assert(hypotheses.size() == g_ * c_ && samples.size() >= c_);
+  // Guess-independent part of every contribution: the centered logit,
+  // computed once per trace.
+  for (std::size_t c = 0; c < c_; ++c) {
+    const LrHead& h = heads_[c];
+    const double z = (static_cast<double>(samples[c]) - h.mean) / h.sd;
+    u_[c] = h.w * z + h.b - h.u_mean;
   }
+  // Stage one contribution per guess at batch slot `pending_` --
+  // guess-major rows, contiguous over the batch index, the CPA kernel's
+  // tiling transposed onto per-guess scores.
+  for (std::size_t g = 0; g < g_; ++g) {
+    const double* hyp = hypotheses.data() + g * c_;
+    double ll = 0.0, hh = 0.0;
+    for (std::size_t c = 0; c < c_; ++c) {
+      const double hc = hyp[c] / heads_[c].max_hw - heads_[c].h_mean;
+      ll += hc * u_[c];
+      hh += hc * hc;
+    }
+    stage_[g * batch_traces_ + pending_] = ll;
+    stage_hh_[g * batch_traces_ + pending_] = hh;
+  }
+  ++traces_;
+  if (++pending_ == batch_traces_) flush();
 }
 
 void LrDistinguisher::flush() const {
   if (pending_ == 0) return;
-  auto* self = const_cast<LrDistinguisher*>(this);
   for (std::size_t g = 0; g < sum_.size(); ++g) {
     const double* row = stage_.data() + g * batch_traces_;
-    self->sum_[g] += attack::lanes4_sum(row, pending_);
-    self->sumsq_[g] += attack::lanes4_sumsq(row, pending_);
-    self->hyp_energy_[g] += attack::lanes4_sum(stage_hh_.data() + g * batch_traces_, pending_);
+    sum_[g] += attack::lanes4_sum(row, pending_);
+    sumsq_[g] += attack::lanes4_sumsq(row, pending_);
+    hyp_energy_[g] += attack::lanes4_sum(stage_hh_.data() + g * batch_traces_, pending_);
   }
   pending_ = 0;
-}
-
-void LrDistinguisher::merge(const Distinguisher& other) {
-  const auto* o = dynamic_cast<const LrDistinguisher*>(&other);
-  if (o == nullptr || o->num_guesses() != num_guesses() ||
-      o->num_columns() != num_columns()) {
-    throw std::invalid_argument("LrDistinguisher::merge: backend/shape mismatch");
-  }
-  flush();
-  o->flush();
-  for (std::size_t g = 0; g < sum_.size(); ++g) {
-    sum_[g] += o->sum_[g];
-    sumsq_[g] += o->sumsq_[g];
-    hyp_energy_[g] += o->hyp_energy_[g];
-  }
-  traces_ += o->traces_;
 }
 
 double LrDistinguisher::score(std::size_t guess) const {
@@ -145,68 +124,6 @@ double LrDistinguisher::score_sd(std::size_t guess) const {
   const double var = sumsq_[guess] / dn - mean * mean;
   // Same normalizer as score() so gap / sd ratios are scale-free.
   return var > 0.0 ? std::sqrt(var) / std::sqrt(hyp_energy_[guess] / dn) : 0.0;
-}
-
-std::vector<std::size_t> LrDistinguisher::ranking() const {
-  flush();
-  return rank_by_score(*this);
-}
-
-void LrDistinguisher::serialize(std::vector<std::uint8_t>& out) const {
-  flush();
-  out.push_back(static_cast<std::uint8_t>(Backend::kLr));
-  wire::put_u32(out, static_cast<std::uint32_t>(sum_.size()));
-  wire::put_u32(out, static_cast<std::uint32_t>(heads_.size()));
-  wire::put_u64(out, batch_traces_);
-  wire::put_u64(out, traces_);
-  for (const LrHead& h : heads_) {
-    wire::put_f64(out, h.w);
-    wire::put_f64(out, h.b);
-    wire::put_f64(out, h.mean);
-    wire::put_f64(out, h.sd);
-    wire::put_f64(out, h.max_hw);
-    wire::put_f64(out, h.h_mean);
-    wire::put_f64(out, h.u_mean);
-  }
-  for (const double v : sum_) wire::put_f64(out, v);
-  for (const double v : sumsq_) wire::put_f64(out, v);
-  for (const double v : hyp_energy_) wire::put_f64(out, v);
-}
-
-std::unique_ptr<Distinguisher> LrDistinguisher::deserialize(
-    std::span<const std::uint8_t> bytes, std::size_t& offset) {
-  wire::Cursor c{bytes.subspan(offset)};
-  if (c.u8() != static_cast<std::uint8_t>(Backend::kLr)) return nullptr;
-  const std::uint32_t g_ = c.u32();
-  const std::uint32_t c_ = c.u32();
-  const std::uint64_t batch = c.u64();
-  const std::uint64_t traces = c.u64();
-  if (c.fail || g_ > (1U << 24) || c_ > (1U << 12) || batch == 0 || batch > (1U << 20)) {
-    return nullptr;
-  }
-  std::vector<LrHead> heads(c_);
-  for (auto& h : heads) {
-    h.w = c.f64();
-    h.b = c.f64();
-    h.mean = c.f64();
-    h.sd = c.f64();
-    h.max_hw = c.f64();
-    h.h_mean = c.f64();
-    h.u_mean = c.f64();
-  }
-  std::vector<double> sum(g_), sumsq(g_), hh(g_);
-  for (auto& v : sum) v = c.f64();
-  for (auto& v : sumsq) v = c.f64();
-  for (auto& v : hh) v = c.f64();
-  if (c.fail) return nullptr;
-  auto out = std::make_unique<LrDistinguisher>(g_, std::move(heads),
-                                               static_cast<std::size_t>(batch));
-  out->sum_ = std::move(sum);
-  out->sumsq_ = std::move(sumsq);
-  out->hyp_energy_ = std::move(hh);
-  out->traces_ = static_cast<std::size_t>(traces);
-  offset += c.off;
-  return out;
 }
 
 }  // namespace fd::distinguisher

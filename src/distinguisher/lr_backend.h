@@ -36,9 +36,10 @@
 // tie class reappears; the staged attack resolves it with the same
 // self-calibrated absolute-level template match the CPA staging uses.
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
-#include "distinguisher/distinguisher.h"
 #include "distinguisher/types.h"
 
 namespace fd::distinguisher {
@@ -60,39 +61,30 @@ struct LrHead {
                                    std::span<const double> targets, double max_hw,
                                    const BackendSelection& sel);
 
-class LrDistinguisher final : public Distinguisher {
+class LrDistinguisher {
  public:
   LrDistinguisher(std::size_t num_guesses, std::vector<LrHead> heads,
                   std::size_t batch_traces);
 
-  [[nodiscard]] std::uint8_t backend_id() const override {
-    return static_cast<std::uint8_t>(Backend::kLr);
-  }
-  [[nodiscard]] std::size_t num_guesses() const override { return sum_.size(); }
-  [[nodiscard]] std::size_t num_columns() const override { return heads_.size(); }
-  [[nodiscard]] std::size_t hyp_stride() const override { return heads_.size(); }
-  [[nodiscard]] std::size_t num_traces() const override { return traces_; }
+  // Folds one trace: `hypotheses` is guess-major, C predictions per
+  // guess (one per head); `samples` holds the C measured values.
+  void observe(std::span<const double> hypotheses, std::span<const float> samples);
 
-  void observe(std::span<const TraceObservation> batch) override;
-  void merge(const Distinguisher& other) override;
-
-  [[nodiscard]] double score(std::size_t guess) const override;
-  [[nodiscard]] double score_sd(std::size_t guess) const override;
-  [[nodiscard]] std::vector<std::size_t> ranking() const override;
-
-  void serialize(std::vector<std::uint8_t>& out) const override;
-  [[nodiscard]] static std::unique_ptr<Distinguisher> deserialize(
-      std::span<const std::uint8_t> bytes, std::size_t& offset);
-
-  [[nodiscard]] const std::vector<LrHead>& heads() const { return heads_; }
+  // Centered, energy-normalized score of a guess (higher is better; see
+  // above) and its per-trace standard deviation on the same scale.
+  // Reads fold any staged partial batch first.
+  [[nodiscard]] double score(std::size_t guess) const;
+  [[nodiscard]] double score_sd(std::size_t guess) const;
 
  private:
   void flush() const;
 
   std::vector<LrHead> heads_;
   std::size_t batch_traces_;
-  std::vector<double> sum_, sumsq_;  // per guess (folded)
-  std::vector<double> hyp_energy_;   // per guess: sum of (h~ - hbar)^2
+  // Folded per-guess sums; reads fold the staged tail in, so they are
+  // mutable behind the const score accessors.
+  mutable std::vector<double> sum_, sumsq_;
+  mutable std::vector<double> hyp_energy_;  // sum of (h~ - hbar)^2
   std::size_t traces_ = 0;
   // Batch staging: per-guess contiguous contribution rows (G x B),
   // folded through lanes4_sum / lanes4_sumsq when full -- the same

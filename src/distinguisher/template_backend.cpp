@@ -1,22 +1,9 @@
 #include "distinguisher/template_backend.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <stdexcept>
 
 namespace fd::distinguisher {
-
-std::vector<std::size_t> rank_by_score(const Distinguisher& d) {
-  const std::size_t g_ = d.num_guesses();
-  std::vector<double> scores(g_);
-  for (std::size_t g = 0; g < g_; ++g) scores[g] = d.score(g);
-  std::vector<std::size_t> order(g_);
-  for (std::size_t g = 0; g < g_; ++g) order[g] = g;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return scores[a] > scores[b]; });
-  return order;
-}
 
 TemplateDistinguisher::TemplateDistinguisher(std::size_t num_guesses,
                                              std::vector<double> alpha,
@@ -32,43 +19,29 @@ TemplateDistinguisher::TemplateDistinguisher(std::size_t num_guesses,
   assert(prec_.size() == alpha_.size() * alpha_.size());
 }
 
-void TemplateDistinguisher::observe(std::span<const TraceObservation> batch) {
+void TemplateDistinguisher::observe(std::span<const double> hypotheses,
+                                    std::span<const float> samples) {
   const std::size_t c_ = alpha_.size();
   const std::size_t g_ = ll_sum_.size();
-  for (const TraceObservation& obs : batch) {
-    assert(obs.hypotheses.size() == g_ * c_ && obs.samples.size() >= c_);
-    for (std::size_t g = 0; g < g_; ++g) {
-      const double* h = obs.hypotheses.data() + g * c_;
-      for (std::size_t c = 0; c < c_; ++c) {
-        resid_[c] = static_cast<double>(obs.samples[c]) - (alpha_[c] * h[c] + beta_[c]);
-      }
-      // ll = -1/2 e^T P e, accumulated row by row (fixed order).
-      double quad = 0.0;
-      for (std::size_t a = 0; a < c_; ++a) {
-        double row = 0.0;
-        const double* pr = prec_.data() + a * c_;
-        for (std::size_t b = 0; b < c_; ++b) row += pr[b] * resid_[b];
-        quad += resid_[a] * row;
-      }
-      const double ll = -0.5 * quad;
-      ll_sum_[g] += ll;
-      ll_sumsq_[g] += ll * ll;
+  assert(hypotheses.size() == g_ * c_ && samples.size() >= c_);
+  for (std::size_t g = 0; g < g_; ++g) {
+    const double* h = hypotheses.data() + g * c_;
+    for (std::size_t c = 0; c < c_; ++c) {
+      resid_[c] = static_cast<double>(samples[c]) - (alpha_[c] * h[c] + beta_[c]);
     }
-    ++traces_;
+    // ll = -1/2 e^T P e, accumulated row by row (fixed order).
+    double quad = 0.0;
+    for (std::size_t a = 0; a < c_; ++a) {
+      double row = 0.0;
+      const double* pr = prec_.data() + a * c_;
+      for (std::size_t b = 0; b < c_; ++b) row += pr[b] * resid_[b];
+      quad += resid_[a] * row;
+    }
+    const double ll = -0.5 * quad;
+    ll_sum_[g] += ll;
+    ll_sumsq_[g] += ll * ll;
   }
-}
-
-void TemplateDistinguisher::merge(const Distinguisher& other) {
-  const auto* o = dynamic_cast<const TemplateDistinguisher*>(&other);
-  if (o == nullptr || o->num_guesses() != num_guesses() ||
-      o->num_columns() != num_columns()) {
-    throw std::invalid_argument("TemplateDistinguisher::merge: backend/shape mismatch");
-  }
-  for (std::size_t g = 0; g < ll_sum_.size(); ++g) {
-    ll_sum_[g] += o->ll_sum_[g];
-    ll_sumsq_[g] += o->ll_sumsq_[g];
-  }
-  traces_ += o->traces_;
+  ++traces_;
 }
 
 double TemplateDistinguisher::score(std::size_t guess) const {
@@ -81,47 +54,6 @@ double TemplateDistinguisher::score_sd(std::size_t guess) const {
   const double mean = ll_sum_[guess] / dn;
   const double var = ll_sumsq_[guess] / dn - mean * mean;
   return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-std::vector<std::size_t> TemplateDistinguisher::ranking() const {
-  return rank_by_score(*this);
-}
-
-void TemplateDistinguisher::serialize(std::vector<std::uint8_t>& out) const {
-  out.push_back(static_cast<std::uint8_t>(Backend::kTemplate));
-  wire::put_u32(out, static_cast<std::uint32_t>(ll_sum_.size()));
-  wire::put_u32(out, static_cast<std::uint32_t>(alpha_.size()));
-  wire::put_u64(out, traces_);
-  for (const double v : alpha_) wire::put_f64(out, v);
-  for (const double v : beta_) wire::put_f64(out, v);
-  for (const double v : prec_) wire::put_f64(out, v);
-  for (const double v : ll_sum_) wire::put_f64(out, v);
-  for (const double v : ll_sumsq_) wire::put_f64(out, v);
-}
-
-std::unique_ptr<Distinguisher> TemplateDistinguisher::deserialize(
-    std::span<const std::uint8_t> bytes, std::size_t& offset) {
-  wire::Cursor c{bytes.subspan(offset)};
-  if (c.u8() != static_cast<std::uint8_t>(Backend::kTemplate)) return nullptr;
-  const std::uint32_t g_ = c.u32();
-  const std::uint32_t c_ = c.u32();
-  const std::uint64_t traces = c.u64();
-  if (c.fail || g_ > (1U << 24) || c_ > (1U << 12)) return nullptr;
-  std::vector<double> alpha(c_), beta(c_), prec(static_cast<std::size_t>(c_) * c_);
-  std::vector<double> sum(g_), sumsq(g_);
-  for (auto& v : alpha) v = c.f64();
-  for (auto& v : beta) v = c.f64();
-  for (auto& v : prec) v = c.f64();
-  for (auto& v : sum) v = c.f64();
-  for (auto& v : sumsq) v = c.f64();
-  if (c.fail) return nullptr;
-  auto out = std::make_unique<TemplateDistinguisher>(g_, std::move(alpha), std::move(beta),
-                                                     std::move(prec));
-  out->ll_sum_ = std::move(sum);
-  out->ll_sumsq_ = std::move(sumsq);
-  out->traces_ = static_cast<std::size_t>(traces);
-  offset += c.off;
-  return out;
 }
 
 }  // namespace fd::distinguisher

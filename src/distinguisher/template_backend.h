@@ -12,42 +12,30 @@
 // score_sd() its per-trace standard deviation -- the quantity the
 // calibrated confidence criterion needs (quality.cpp).
 //
-// Accumulation order is trace order, guess-major inside a trace; merge
-// is plain sum addition, so shard folds recombine exactly (the same
-// commutative-sum argument as the quality-report merge).
+// Accumulation order is trace order, guess-major inside a trace, so the
+// scores are a pure function of the observation stream.
 
+#include <cstddef>
+#include <span>
 #include <vector>
-
-#include "distinguisher/distinguisher.h"
-#include "distinguisher/types.h"
 
 namespace fd::distinguisher {
 
-class TemplateDistinguisher final : public Distinguisher {
+class TemplateDistinguisher {
  public:
   // alpha/beta: per-column linear fits; precision: row-major C x C
   // phase precision.
   TemplateDistinguisher(std::size_t num_guesses, std::vector<double> alpha,
                         std::vector<double> beta, std::vector<double> precision);
 
-  [[nodiscard]] std::uint8_t backend_id() const override {
-    return static_cast<std::uint8_t>(Backend::kTemplate);
-  }
-  [[nodiscard]] std::size_t num_guesses() const override { return ll_sum_.size(); }
-  [[nodiscard]] std::size_t num_columns() const override { return alpha_.size(); }
-  [[nodiscard]] std::size_t hyp_stride() const override { return alpha_.size(); }
-  [[nodiscard]] std::size_t num_traces() const override { return traces_; }
+  // Folds one trace: `hypotheses` is guess-major, C predictions per
+  // guess (one per column); `samples` holds the C measured values.
+  void observe(std::span<const double> hypotheses, std::span<const float> samples);
 
-  void observe(std::span<const TraceObservation> batch) override;
-  void merge(const Distinguisher& other) override;
-
-  [[nodiscard]] double score(std::size_t guess) const override;
-  [[nodiscard]] double score_sd(std::size_t guess) const override;
-  [[nodiscard]] std::vector<std::size_t> ranking() const override;
-
-  void serialize(std::vector<std::uint8_t>& out) const override;
-  [[nodiscard]] static std::unique_ptr<Distinguisher> deserialize(
-      std::span<const std::uint8_t> bytes, std::size_t& offset);
+  // Mean per-trace log-likelihood of a guess (higher is better) and its
+  // per-trace standard deviation.
+  [[nodiscard]] double score(std::size_t guess) const;
+  [[nodiscard]] double score_sd(std::size_t guess) const;
 
  private:
   std::vector<double> alpha_, beta_;
@@ -56,9 +44,5 @@ class TemplateDistinguisher final : public Distinguisher {
   std::size_t traces_ = 0;
   std::vector<double> resid_;  // scratch, C
 };
-
-// Descending-score ranking with index-order ties -- shared by the
-// profiled backends (mirrors cpa_ranking's stable sort).
-[[nodiscard]] std::vector<std::size_t> rank_by_score(const Distinguisher& d);
 
 }  // namespace fd::distinguisher

@@ -6,11 +6,11 @@
 // larger chunks first), and every chunk is submitted up front. Which
 // worker runs which chunk -- and in what order chunks finish -- is
 // scheduler noise; determinism comes from the contract that chunk
-// bodies only write state indexed by their own range, and every
-// reduction merges per-chunk results in chunk-index order. Under that
-// contract the result of parallel_for/map/reduce is bit-identical to
-// running the chunks serially in order, at any worker count, which is
-// exactly what tests/test_exec.cpp pins.
+// bodies only write state indexed by their own range, and per-chunk
+// results are collected in chunk-index order. Under that contract the
+// result of parallel_for/map is bit-identical to running the chunks
+// serially in order, at any worker count, which is exactly what
+// tests/test_exec.cpp pins.
 //
 // The serial path IS the parallel path: with a null pool, one worker,
 // a single chunk, or when called from inside a pool worker (nested
@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -63,25 +62,6 @@ template <typename T, typename BodyFn>
     for (std::size_t i = r.begin; i < r.end; ++i) out[i] = body(i);
   });
   return out;
-}
-
-// Per-chunk accumulators merged in chunk-index order:
-//   acc = init; for each chunk c in order: acc = merge(acc, chunk_fn(range_c))
-// chunk_fn runs on the pool; merge runs on the calling thread, serially,
-// in index order -- the floating-point-safe reduction shape (the merge
-// tree depends only on the chunk plan, never on timing).
-template <typename T, typename ChunkFn, typename MergeFn>
-[[nodiscard]] T parallel_reduce(ThreadPool* pool, std::size_t count, std::size_t chunks_hint,
-                                T init, ChunkFn&& chunk_fn, MergeFn&& merge) {
-  const auto plan = static_chunks(count, chunks_hint == 0 && pool != nullptr
-                                             ? pool->num_workers()
-                                             : chunks_hint);
-  std::vector<std::optional<T>> partial(plan.size());
-  parallel_for_chunks(pool, count, plan.size(),
-                      [&](ChunkRange r, std::size_t c) { partial[c] = chunk_fn(r); });
-  T acc = std::move(init);
-  for (auto& p : partial) acc = merge(std::move(acc), std::move(*p));
-  return acc;
 }
 
 }  // namespace fd::exec

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -123,7 +122,6 @@ class Coordinator {
     session_.attack = cfg_.pipeline.attack;
     session_.faults = cfg_.pipeline.faults;
     session_.quality = cfg_.pipeline.quality;
-    session_.single_pass = cfg_.pipeline.single_pass;
     session_.checkpoint_every = cfg_.pipeline.checkpoint_every;
     session_.heartbeat_interval_ms = cfg_.heartbeat_interval_ms;
     session_.profile_interval_ms =
@@ -324,7 +322,6 @@ class Coordinator {
       }
       if (allow_hooks && shard == cfg_.kill_shard) spec.kill_after = cfg_.kill_after;
       if (allow_hooks && shard == cfg_.hang_shard) spec.hang_ms = cfg_.hang_ms;
-      if (allow_hooks && shard == cfg_.bad_fold_shard) spec.bad_fold = true;
       tasks.push_back(std::move(t));
     }
     out_.attack_shards += tasks.size();
@@ -750,7 +747,6 @@ class Coordinator {
       // complete, that's the scenario under test.
       spec.kill_after = 0;
       spec.hang_ms = 0;
-      spec.bad_fold = false;
     }
     if (w.remote) {
       spec.stage = true;
@@ -936,28 +932,6 @@ class Coordinator {
                                     {"chunks", fe.num_chunks}});
   }
 
-  // A kFold frame: merge the worker's partial CpaSums into the task's
-  // accumulator. merge_cpa_sums is checked in every build mode; a shape
-  // mismatch means the peer's statistics can no longer be trusted, so
-  // it takes the same reap-and-reassign path as a corrupt frame stream
-  // (handle_disconnect -> on_worker_death for local pipes).
-  void handle_fold(std::vector<Task>& tasks, WorkerProc& w, const Frame& frame) {
-    FoldFrame f;
-    if (!decode_fold(frame.payload, f)) {
-      handle_disconnect(tasks, w, "undecodable fold frame");
-      return;
-    }
-    attack::CpaSums& acc = task_folds_[f.task_id];
-    if (!attack::merge_cpa_sums(acc, f.sums)) {
-      handle_disconnect(tasks, w, "mismatched-shape fold frame");
-      return;
-    }
-    ++out_.fold_frames;
-    emit_event("fleet.fold", {{"task", f.task_id},
-                              {"worker", static_cast<std::uint64_t>(w.id)},
-                              {"traces", acc.traces}});
-  }
-
   void handle_frame(std::vector<Task>& tasks, WorkerProc& w, const Frame& frame) {
     w.last_seen = Clock::now();
     if (frame.type != FrameType::kError) w.flaps = 0;
@@ -1023,9 +997,6 @@ class Coordinator {
         }
         break;
       }
-      case FrameType::kFold:
-        handle_fold(tasks, w, frame);
-        break;
       case FrameType::kError: {
         const std::string msg(reinterpret_cast<const char*>(frame.payload.data()),
                               frame.payload.size());
@@ -1036,6 +1007,9 @@ class Coordinator {
         break;
       }
       default:
+        // The decoder rejects unknown types, so only the coordinator's
+        // own outbound types (config, task, shutdown, auth) land here;
+        // from a worker they carry nothing to act on.
         break;
     }
   }
@@ -1264,10 +1238,6 @@ class Coordinator {
 
   std::vector<attack::ComponentResult> results_;
   std::vector<std::size_t> accepted_;
-  // Per-task merged fold statistics (kFold frames), keyed by task id.
-  // The first frame seeds a task's shape (merge_cpa_sums adopts into an
-  // empty accumulator); any later shape disagreement is wire corruption.
-  std::map<std::uint32_t, attack::CpaSums> task_folds_;
   std::vector<std::uint32_t> failed_components_;
   std::vector<std::string> checkpoint_paths_;
   attack::RowAssembly assembled_;

@@ -59,9 +59,9 @@ struct FleetConfig {
   // The experiment, in single-process pipeline terms. Honoured fields:
   // attack (threads = PER-WORKER pool size), capture_shards,
   // archive_path, keep_archive, faults, quality, remeasure, adaptive,
-  // single_pass, checkpoint_every (worker persist cadence). The
-  // pipeline's own checkpoint/resume flags are ignored -- fleet
-  // checkpointing is per-shard and always on.
+  // checkpoint_every (worker persist cadence). The pipeline's own
+  // checkpoint/resume flags are ignored -- fleet checkpointing is
+  // per-shard and always on.
   attack::RecoveryPipelineConfig pipeline;
 
   unsigned logn = 5;
@@ -115,12 +115,6 @@ struct FleetConfig {
   std::uint32_t kill_after = 0;
   std::size_t hang_shard = static_cast<std::size_t>(-1);
   std::uint32_t hang_ms = 0;
-  // bad_fold_shard arms TaskSpec::bad_fold: the worker sends a kFold
-  // frame whose CpaSums shape disagrees with the session after its
-  // first checkpointed batch. The coordinator must treat the
-  // mismatched-shape merge as a corrupt peer (reap + reassign), and the
-  // retry -- resumed past the hook -- completes the shard.
-  std::size_t bad_fold_shard = static_cast<std::size_t>(-1);
 };
 
 struct FleetResult {
@@ -148,7 +142,6 @@ struct FleetResult {
   std::size_t reconnects = 0;      // remote links re-established in place
   std::size_t staged_chunks = 0;   // kFileChunk frames accepted
   std::size_t attack_shards = 0;   // attack tasks dispatched (all rounds)
-  std::size_t fold_frames = 0;     // kFold frames merged into task folds
   std::uint64_t archive_scans = 0; // summed worker scan deltas
   std::size_t telemetry_lines = 0; // lines written to telemetry_path
 

@@ -83,6 +83,28 @@ struct Cursor {
   [[nodiscard]] bool done() const { return !fail && off == bytes.size(); }
 };
 
+// Exhaustive over FrameType (no default), so -Wswitch flags a new type
+// that is not accepted here.
+bool known_frame_type(std::uint16_t type) {
+  switch (static_cast<FrameType>(type)) {
+    case FrameType::kHello:
+    case FrameType::kConfig:
+    case FrameType::kTask:
+    case FrameType::kHeartbeat:
+    case FrameType::kProgress:
+    case FrameType::kTelemetry:
+    case FrameType::kResult:
+    case FrameType::kShutdown:
+    case FrameType::kError:
+    case FrameType::kAuth:
+    case FrameType::kFileStart:
+    case FrameType::kFileChunk:
+    case FrameType::kFileEnd:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 // --- framing ---------------------------------------------------------------
@@ -137,6 +159,13 @@ bool FrameDecoder::next(Frame& out) {
   if (version != kProtocolVersion) {
     corrupt_ = true;
     error_ = "unsupported protocol version " + std::to_string(version);
+    return false;
+  }
+  // Versions match exactly, so a peer has no frame type this decoder
+  // does not know: an unknown type is corruption, never skippable.
+  if (!known_frame_type(type)) {
+    corrupt_ = true;
+    error_ = "unknown frame type " + std::to_string(type);
     return false;
   }
   if (len > kMaxPayload) {
@@ -205,7 +234,6 @@ void encode_session(std::vector<std::uint8_t>& out, const SessionConfig& cfg) {
   put_u32(out, q.max_lag);
   put_f64(out, q.min_alignment_corr);
   put_u32(out, q.refine_iters);
-  out.push_back(cfg.single_pass ? 1 : 0);
   put_u64(out, cfg.checkpoint_every);
   put_u64(out, cfg.session_hash);
   put_u64(out, cfg.heartbeat_interval_ms);
@@ -261,7 +289,6 @@ bool decode_session(std::span<const std::uint8_t> bytes, SessionConfig& out) {
   q.max_lag = c.u32();
   q.min_alignment_corr = c.f64();
   q.refine_iters = c.u32();
-  out.single_pass = c.u8() != 0;
   out.checkpoint_every = static_cast<std::size_t>(c.u64());
   out.session_hash = c.u64();
   out.heartbeat_interval_ms = static_cast<std::size_t>(c.u64());
@@ -287,7 +314,6 @@ void encode_task(std::vector<std::uint8_t>& out, const TaskSpec& spec) {
   for (const std::uint32_t comp : spec.components) put_u32(out, comp);
   put_u32(out, spec.kill_after);
   put_u32(out, spec.hang_ms);
-  out.push_back(spec.bad_fold ? 1 : 0);
   put_u64(out, spec.parent_span);
   out.push_back(spec.backend);
   out.push_back(spec.stage ? 1 : 0);
@@ -314,7 +340,6 @@ bool decode_task(std::span<const std::uint8_t> bytes, TaskSpec& out) {
   for (std::uint32_t i = 0; i < n; ++i) out.components.push_back(c.u32());
   out.kill_after = c.u32();
   out.hang_ms = c.u32();
-  out.bad_fold = c.u8() != 0;
   out.parent_span = c.u64();
   out.backend = c.u8();
   out.stage = c.u8() != 0;
@@ -414,20 +439,6 @@ bool decode_progress(std::span<const std::uint8_t> bytes, Progress& out) {
   out.total = c.u64();
   out.span = c.u64();
   return c.done();
-}
-
-void encode_fold(std::vector<std::uint8_t>& out, const FoldFrame& f) {
-  put_u32(out, f.task_id);
-  attack::serialize_cpa_sums(out, f.sums);
-}
-
-bool decode_fold(std::span<const std::uint8_t> bytes, FoldFrame& out) {
-  Cursor c{bytes, 0, false};
-  out.task_id = c.u32();
-  if (c.fail) return false;
-  std::size_t off = c.off;
-  if (!attack::deserialize_cpa_sums(bytes, off, out.sums)) return false;
-  return off == bytes.size();
 }
 
 // --- handshake + staging ---------------------------------------------------

@@ -35,11 +35,6 @@
 //   kResult     worker -> coordinator: TaskResult (capture counts, or
 //               per-component results + quality + archive-scan delta;
 //               every score as raw IEEE-754 bits -- bit-exact)
-//   kFold       either direction: a serialized CpaSums shard fold
-//               (attack/cpa_kernel.h), the transport for distributed
-//               streaming-CPA aggregation; merging deserialized folds
-//               in shard-index order equals the in-process
-//               parallel_reduce merge bit for bit
 //   kShutdown   coordinator -> worker: drain and exit 0
 //   kError      worker -> coordinator: fatal worker-side message
 //   kAuth       coordinator -> worker (TCP serve mode): session token;
@@ -53,6 +48,11 @@
 //               chunk-CRC primitive) so a transfer is verifiable and
 //               resumable at chunk granularity after a reconnect
 //
+// Type 8 is retired (v5's shard-fold frame, which nothing read) and
+// stays unused. Any type outside this catalogue latches the decoder
+// corrupt: versions match exactly, so a well-formed peer never sends
+// one.
+//
 // Decode functions are total: any truncated, overlong, or out-of-range
 // payload returns false and never throws -- a dying worker's half
 // frame must not take the coordinator down with it.
@@ -63,7 +63,6 @@
 #include <vector>
 
 #include "attack/checkpoint.h"
-#include "attack/cpa_kernel.h"
 #include "attack/key_recovery.h"
 #include "attack/quality.h"
 #include "sca/faults.h"
@@ -92,10 +91,12 @@ inline constexpr std::uint32_t kFrameMagic = 0x4C464446;  // "FDFL" little-endia
 // v5: SessionConfig's attack config carries cpa_shards (the
 // StreamingScan guess-shard count -- a wall-clock knob, byte-identical
 // results at any value, but remote workers must honor it); TaskSpec
-// gains the bad_fold failure-injection hook (worker sends a
-// mismatched-shape kFold frame, the coordinator must treat it as a
-// corrupt peer and reassign).
-inline constexpr std::uint16_t kProtocolVersion = 5;
+// gains a failure-injection hook for the shard-fold frame.
+// v6: the shard-fold frame (type 8) and its TaskSpec hook are retired;
+// SessionConfig drops the archive-scan strategy flag (attack rounds
+// always demux in one archive scan); the decoder rejects unknown frame
+// types instead of passing them on.
+inline constexpr std::uint16_t kProtocolVersion = 6;
 inline constexpr std::size_t kFrameHeaderSize = 16;
 // Largest payload a peer will accept. Generous for real traffic (an
 // n = 1024 attack shard's results are ~100 KB) yet small enough that a
@@ -110,7 +111,7 @@ enum class FrameType : std::uint16_t {
   kProgress = 5,
   kTelemetry = 6,
   kResult = 7,
-  kFold = 8,
+  // 8 was the shard-fold frame (retired in v6); never reuse it.
   kShutdown = 9,
   kError = 10,
   kAuth = 11,
@@ -130,9 +131,10 @@ void encode_frame(std::vector<std::uint8_t>& out, FrameType type,
 
 // Incremental frame reassembly over arbitrary byte fragments. feed()
 // whatever read() returned; next() pops complete frames in order. A
-// bad magic, unknown version, or oversized length latches `corrupt`
-// (the stream is unrecoverable past that point -- frames have no
-// resync marker by design; the coordinator kills the worker instead).
+// bad magic, unknown version, unknown frame type, oversized length, or
+// CRC mismatch latches `corrupt` (the stream is unrecoverable past that
+// point -- frames have no resync marker by design; the coordinator
+// kills the worker instead).
 class FrameDecoder {
  public:
   void feed(std::span<const std::uint8_t> bytes);
@@ -160,7 +162,6 @@ struct SessionConfig {
   attack::KeyRecoveryConfig attack;  // attack.threads = worker-internal pool
   sca::FaultConfig faults;
   attack::QualityConfig quality;
-  bool single_pass = true;
   std::size_t checkpoint_every = 8;      // worker sub-batch + persist cadence
   std::uint64_t session_hash = 0;        // binds worker checkpoints to the run
   std::size_t heartbeat_interval_ms = 50;
@@ -211,11 +212,6 @@ struct TaskSpec {
   // heartbeats and sleep before starting (heartbeat-timeout path).
   std::uint32_t kill_after = 0;
   std::uint32_t hang_ms = 0;
-  // bad_fold: after the first checkpointed batch (fresh tasks only --
-  // a resumed task skips the hook so the retry completes), send a
-  // well-formed kFold frame whose CpaSums shape disagrees with the
-  // session, exercising the coordinator's corrupt-fold reap path.
-  bool bad_fold = false;
 
   // Span id of the coordinator's JobGraph stage span that created this
   // task; the worker re-parents its task span under it so the campaign
@@ -289,14 +285,6 @@ struct Progress {
 };
 void encode_progress(std::vector<std::uint8_t>& out, const Progress& p);
 [[nodiscard]] bool decode_progress(std::span<const std::uint8_t> bytes, Progress& out);
-
-// Fold frames: task_id + one serialized CpaSums (attack/cpa_kernel.h).
-struct FoldFrame {
-  std::uint32_t task_id = 0;
-  attack::CpaSums sums;
-};
-void encode_fold(std::vector<std::uint8_t>& out, const FoldFrame& f);
-[[nodiscard]] bool decode_fold(std::span<const std::uint8_t> bytes, FoldFrame& out);
 
 // --- serve-mode handshake and archive staging ------------------------------
 

@@ -292,8 +292,7 @@ TaskResult run_attack_task(const Session& s, const TaskSpec& spec, FrameWriter& 
     attack::QualityReport q;
     std::string err;
     if (!attack::attack_components_gated(archive_path, s.cfg.quality, config_for,
-                                         s.pool.get(), batch, results, accepted, &q, &err,
-                                         s.cfg.single_pass)) {
+                                         s.pool.get(), batch, results, accepted, &q, &err)) {
       res.error = "attack: " + err;
       return res;
     }
@@ -324,34 +323,6 @@ TaskResult run_attack_task(const Session& s, const TaskSpec& spec, FrameWriter& 
       // reassignment test relies on: the checkpoint above has this
       // batch, the kResult frame never goes out.
       std::raise(SIGKILL);
-    }
-    if (spec.bad_fold && done_before == 0 && b == 0) {
-      // Corrupt-statistics simulation: a well-formed fold frame seeds
-      // the coordinator's per-task accumulator, then a second frame
-      // with a disagreeing CpaSums shape arrives on the same task. The
-      // coordinator must refuse the merge and reap this worker; frames
-      // are processed in stream order, so the bad fold is seen before
-      // any kResult we might still send. The hook only fires on a
-      // fresh task (done_before == 0): the reassigned attempt resumes
-      // from the checkpoint above and completes cleanly.
-      const auto send_fold = [&](std::size_t g, std::size_t ns) {
-        FoldFrame f;
-        f.task_id = spec.task_id;
-        attack::CpaSums sums;
-        attack::CpaBatchKernel kernel(g, ns, {});
-        std::vector<double> hyps(g);
-        std::vector<float> samps(ns);
-        for (std::size_t i = 0; i < g; ++i) hyps[i] = static_cast<double>(i + 1);
-        for (std::size_t i = 0; i < ns; ++i) samps[i] = static_cast<float>(i) * 0.5F;
-        kernel.add_trace(sums, hyps, samps);
-        kernel.flush(sums);
-        f.sums = std::move(sums);
-        std::vector<std::uint8_t> fold_payload;
-        encode_fold(fold_payload, f);
-        writer.send(FrameType::kFold, fold_payload);
-      };
-      send_fold(2, 2);   // seeds the task's fold shape
-      send_fold(3, 2);   // shape mismatch: must get this worker reaped
     }
   }
 
@@ -675,8 +646,8 @@ LoopExit run_worker_loop(Transport& t, FrameWriter& writer, WorkerContext& ctx,
       case FrameType::kShutdown:
         return LoopExit::kShutdownReq;
       default:
-        // Unknown-but-well-framed types are skipped: a newer
-        // coordinator may speak frames this worker predates.
+        // The decoder rejects unknown types, so only worker-to-
+        // coordinator types land here; they carry nothing to act on.
         break;
     }
   }

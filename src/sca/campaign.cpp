@@ -390,41 +390,6 @@ ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
   return out;
 }
 
-bool load_trace_set(tracestore::ArchiveReader& reader, std::size_t slot, TraceSet& out) {
-  if (!reader.is_open() || slot >= reader.meta().num_slots) return false;
-  reader.rewind();
-  out.slot = slot;
-  out.traces.clear();
-  tracestore::TraceRecord rec;
-  while (reader.next(rec)) {
-    if (rec.slot != slot) continue;
-    CapturedTrace ct;
-    ct.trace.samples = std::move(rec.samples);
-    ct.known_re = Fpr::from_bits(rec.known_re_bits);
-    ct.known_im = Fpr::from_bits(rec.known_im_bits);
-    out.traces.push_back(std::move(ct));
-  }
-  return true;
-}
-
-bool load_all_trace_sets(tracestore::ArchiveReader& reader, std::vector<TraceSet>& out) {
-  if (!reader.is_open()) return false;
-  reader.rewind();
-  const std::size_t hn = reader.meta().num_slots;
-  out.assign(hn, TraceSet{});
-  for (std::size_t s = 0; s < hn; ++s) out[s].slot = s;
-  tracestore::TraceRecord rec;
-  while (reader.next(rec)) {
-    if (rec.slot >= hn) continue;  // defensive: record from a foreign layout
-    CapturedTrace ct;
-    ct.trace.samples = std::move(rec.samples);
-    ct.known_re = Fpr::from_bits(rec.known_re_bits);
-    ct.known_im = Fpr::from_bits(rec.known_im_bits);
-    out[rec.slot].traces.push_back(std::move(ct));
-  }
-  return true;
-}
-
 bool load_trace_sets_for(tracestore::ArchiveReader& reader,
                          std::span<const std::size_t> slots, std::vector<TraceSet>& out) {
   if (!reader.is_open()) return false;

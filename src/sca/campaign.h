@@ -149,20 +149,11 @@ struct ShardedCampaignResult {
     const falcon::SecretKey& sk, const ShardedCampaignConfig& config, const std::string& path,
     exec::ThreadPool* pool, std::size_t traces_per_chunk = tracestore::kDefaultTracesPerChunk);
 
-// Adversary-side reload: reconstructs the in-memory TraceSet of one
-// slot from an archive (rewinds, then filters the stream). Memory is
-// O(records of that slot), not the whole archive.
-[[nodiscard]] bool load_trace_set(tracestore::ArchiveReader& reader, std::size_t slot,
-                                  TraceSet& out);
-// All slots at once -- the archive equivalent of run_full_campaign's
-// return value (and the same O(records) memory as the in-memory path).
-[[nodiscard]] bool load_all_trace_sets(tracestore::ArchiveReader& reader,
-                                       std::vector<TraceSet>& out);
-// Subset demux: ONE rewind+scan fills out[i] with slots[i]'s records
-// (the single-pass alternative to calling load_trace_set per slot).
-// Slots must be unique and in range; out[i].traces holds slot slots[i]
-// in archive order, exactly as load_trace_set would have produced.
-// Memory is O(records of the requested slots).
+// Adversary-side reload: ONE rewind+scan of the archive fills out[i]
+// with slot slots[i]'s records, in archive order -- the in-memory
+// TraceSet run_full_campaign would have returned for that slot. Slots
+// must be unique and in range. Memory is O(records of the requested
+// slots).
 [[nodiscard]] bool load_trace_sets_for(tracestore::ArchiveReader& reader,
                                        std::span<const std::size_t> slots,
                                        std::vector<TraceSet>& out);

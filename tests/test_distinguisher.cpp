@@ -1,13 +1,10 @@
 // The distinguisher subsystem's acceptance pins (DESIGN.md section 14):
 //
-//   - CpaDistinguisher is bit-identical to CpaEngine on the same
-//     observation stream -- serially, after a sharded merge, and
-//     through the archive demux (which must also cost the same number
-//     of attack.archive.scans passes);
-//   - every backend's serialize() round-trips its fold state
-//     bit-exactly (the checkpoint / fleet-wire contract), and the
-//     backend-tagged pipeline checkpoint resumes bit-identically while
-//     refusing another backend's file;
+//   - the profiled folds (template, LR) rank the leaking guess first,
+//     report a per-trace score sd, and are pure functions of the
+//     observation stream;
+//   - the backend-tagged pipeline checkpoint resumes bit-identically
+//     while refusing another backend's file;
 //   - LR training is a pure function of (profiling data, selection):
 //     two trainings from the same seed produce bit-identical heads;
 //   - the top1/top2 confidence criterion is calibrated across
@@ -25,20 +22,14 @@
 #include <string>
 #include <vector>
 
-#include "attack/cpa.h"
 #include "attack/quality.h"
 #include "attack/recovery_pipeline.h"
-#include "attack/streaming_cpa.h"
 #include "common/rng.h"
 #include "distinguisher/component_scorer.h"
-#include "distinguisher/cpa_backend.h"
 #include "distinguisher/lr_backend.h"
-#include "distinguisher/streaming.h"
 #include "distinguisher/template_backend.h"
 #include "falcon/falcon.h"
 #include "fleet/coordinator.h"
-#include "sca/campaign.h"
-#include "tracestore/archive.h"
 
 namespace fd {
 namespace {
@@ -64,226 +55,77 @@ struct TempFile {
   std::string path;
 };
 
-// A deterministic synthetic observation stream: G hypotheses per trace
-// (stride 1, the CPA broadcast layout) or G x C (profiled layout), and
-// C sample columns correlated with guess `kTrueGuess`'s hypothesis.
+// A deterministic synthetic observation stream: G x C hypotheses per
+// trace (guess-major, one per column -- the profiled layout) and C
+// sample columns that leak guess `kTrueGuess`'s hypotheses.
 constexpr std::size_t kTrueGuess = 7;
 
 struct Stream {
-  std::size_t guesses, columns, stride;
+  std::size_t guesses, columns;
   std::vector<std::vector<double>> hyp;     // per trace
   std::vector<std::vector<float>> samples;  // per trace
 
-  Stream(std::size_t g, std::size_t c, std::size_t stride_in, std::size_t traces,
-         std::uint64_t seed)
-      : guesses(g), columns(c), stride(stride_in) {
+  Stream(std::size_t g, std::size_t c, std::size_t traces, std::uint64_t seed)
+      : guesses(g), columns(c) {
     ChaCha20Prng rng(seed);
     for (std::size_t t = 0; t < traces; ++t) {
-      std::vector<double> h(g * stride);
+      std::vector<double> h(g * c);
       for (double& v : h) v = static_cast<double>(rng.next_u64() % 33);
       std::vector<float> s(c);
       for (std::size_t j = 0; j < c; ++j) {
-        s[j] = static_cast<float>(h[kTrueGuess * stride + (stride == 1 ? 0 : j)] +
-                                  0.25 * rng.gaussian());
+        s[j] = static_cast<float>(h[kTrueGuess * c + j] + 0.25 * rng.gaussian());
       }
       hyp.push_back(std::move(h));
       samples.push_back(std::move(s));
     }
   }
 
-  [[nodiscard]] dg::TraceObservation at(std::size_t t) const {
-    return {std::span<const double>(hyp[t]), std::span<const float>(samples[t])};
-  }
-  void feed(dg::Distinguisher& d, std::size_t begin, std::size_t end,
-            std::size_t batch = 7) const {
-    std::vector<dg::TraceObservation> obs;
-    for (std::size_t t = begin; t < end; ++t) {
-      obs.push_back(at(t));
-      if (obs.size() == batch) {
-        d.observe(obs);
-        obs.clear();
-      }
-    }
-    if (!obs.empty()) d.observe(obs);
+  template <typename Dist>
+  void feed(Dist& d) const {
+    for (std::size_t t = 0; t < hyp.size(); ++t) d.observe(hyp[t], samples[t]);
   }
 };
 
-std::vector<std::uint8_t> bytes_of(const dg::Distinguisher& d) {
-  std::vector<std::uint8_t> out;
-  d.serialize(out);
-  return out;
-}
-
-// --- CPA behind the interface --------------------------------------------
-
-TEST(CpaAdapter, BitIdenticalToCpaEngineSerially) {
-  const Stream st(49, 3, 1, 301, 0xD151);
-  attack::CpaEngine engine(st.guesses, st.columns);
-  dg::CpaDistinguisher dist(st.guesses, st.columns);
-
-  for (std::size_t t = 0; t < st.hyp.size(); ++t) {
-    engine.add_trace(st.hyp[t], st.samples[t]);
-  }
-  st.feed(dist, 0, st.hyp.size());
-
-  ASSERT_EQ(dist.num_traces(), engine.num_traces());
+// Folds `st` twice through make() and checks the three fold properties:
+// the leaking guess scores best, the per-trace sd is reported, and an
+// identical stream reproduces every score and sd bit for bit.
+template <typename MakeDist>
+void expect_profiled_fold(const Stream& st, MakeDist&& make) {
+  auto a = make();
+  auto b = make();
+  st.feed(a);
+  st.feed(b);
   for (std::size_t g = 0; g < st.guesses; ++g) {
-    // Exact double equality: same kernel, same fold order.
-    EXPECT_EQ(dist.score(g), engine.peak(g)) << "guess " << g;
-    for (std::size_t s = 0; s < st.columns; ++s) {
-      EXPECT_EQ(dist.correlation(g, s), engine.correlation(g, s));
+    if (g != kTrueGuess) {
+      EXPECT_GT(a.score(kTrueGuess), a.score(g)) << "guess " << g;
     }
+    EXPECT_EQ(a.score(g), b.score(g)) << "guess " << g;
+    EXPECT_EQ(a.score_sd(g), b.score_sd(g)) << "guess " << g;
   }
-  EXPECT_EQ(dist.ranking(), engine.ranking());
-  EXPECT_EQ(dist.ranking().front(), kTrueGuess);
+  EXPECT_GT(a.score_sd(kTrueGuess), 0.0);
 }
 
-TEST(CpaAdapter, ShardedMergeReproducesTheSerialFold) {
-  const Stream st(25, 2, 1, 240, 0xD152);
+// --- profiled folds -------------------------------------------------------
 
-  dg::CpaDistinguisher serial(st.guesses, st.columns);
-  st.feed(serial, 0, st.hyp.size());
-
-  // Three uneven shards, merged in shard order (the fleet reduction).
-  const std::size_t cuts[] = {0, 57, 140, st.hyp.size()};
-  dg::CpaDistinguisher merged(st.guesses, st.columns);
-  for (int s = 0; s < 3; ++s) {
-    dg::CpaDistinguisher shard(st.guesses, st.columns);
-    st.feed(shard, cuts[s], cuts[s + 1]);
-    merged.merge(shard);
-  }
-
-  EXPECT_EQ(bytes_of(merged), bytes_of(serial));
-  for (std::size_t g = 0; g < st.guesses; ++g) EXPECT_EQ(merged.score(g), serial.score(g));
-  EXPECT_EQ(merged.ranking(), serial.ranking());
-}
-
-TEST(CpaAdapter, StreamingDemuxMatchesDirectCpaStreamingAndScanCount) {
-  ChaCha20Prng rng(0xD153);
-  const auto kp = falcon::keygen(4, rng);
-  sca::CampaignConfig cfg;
-  cfg.num_traces = 200;
-  cfg.device.noise_sigma = 2.0;
-  cfg.seed = 0xD153;
-
-  TempFile tmp("dist_demux.fdtrace");
-  ASSERT_TRUE(sca::run_campaign_to_archive(kp.sk, cfg, tmp.path).ok);
-  tracestore::ArchiveReader reader;
-  ASSERT_TRUE(reader.open(tmp.path));
-
-  const auto model_cpa = [](std::uint32_t guess, const attack::KnownOperand& k) {
-    return attack::hyp_exponent(guess, k);
-  };
-  std::vector<dg::StreamingSpec> specs;
-  std::vector<attack::StreamingCpaSpec> cpa_specs;
-  for (std::size_t slot : {std::size_t{0}, std::size_t{3}}) {
-    dg::StreamingSpec s;
-    s.slot = slot;
-    s.sample_offsets = {sca::window::kOffExpSum};
-    for (std::uint32_t e = 1005; e <= 1053; ++e) s.guesses.push_back(e);
-    s.model = [model_cpa](std::uint32_t g, const attack::KnownOperand& k, std::size_t) {
-      return model_cpa(g, k);
-    };
-    specs.push_back(s);
-
-    attack::StreamingCpaSpec c;
-    c.slot = slot;
-    c.sample_offsets = s.sample_offsets;
-    c.guesses = s.guesses;
-    c.model = model_cpa;
-    cpa_specs.push_back(c);
-  }
-  const dg::DistinguisherFactory factory = [](const dg::StreamingSpec& s) {
-    return std::make_unique<dg::CpaDistinguisher>(s.guesses.size(), s.sample_offsets.size());
-  };
-
-  // One demux scan == one direct-CPA scan; per-spec folds bit-identical.
-  const std::size_t scans0 = reader.scans_started();
-  const auto engines = attack::run_cpa_streaming_multi(reader, cpa_specs);
-  const std::size_t scans1 = reader.scans_started();
-  const auto dists = dg::run_streaming_multi(reader, specs, factory);
-  const std::size_t scans2 = reader.scans_started();
-  EXPECT_EQ(scans1 - scans0, 1u);
-  EXPECT_EQ(scans2 - scans1, 1u);
-
-  ASSERT_EQ(dists.size(), engines.size());
-  for (std::size_t i = 0; i < dists.size(); ++i) {
-    ASSERT_EQ(dists[i]->num_traces(), engines[i].num_traces());
-    for (std::size_t g = 0; g < engines[i].num_guesses(); ++g) {
-      EXPECT_EQ(dists[i]->score(g), engines[i].peak(g)) << "spec " << i << " guess " << g;
-    }
-    EXPECT_EQ(dists[i]->ranking(), engines[i].ranking()) << "spec " << i;
-
-    // And the single-spec entry point agrees with the demux.
-    const auto solo = dg::run_streaming(reader, specs[i], factory);
-    EXPECT_EQ(bytes_of(*solo), bytes_of(*dists[i]));
-  }
-}
-
-// --- serde round-trips ----------------------------------------------------
-
-void expect_roundtrip(const dg::Distinguisher& d) {
-  const auto bytes = bytes_of(d);
-  std::size_t off = 0;
-  const auto back = dg::deserialize_distinguisher(bytes, off);
-  ASSERT_NE(back, nullptr);
-  EXPECT_EQ(off, bytes.size());
-  EXPECT_EQ(back->backend_id(), d.backend_id());
-  EXPECT_EQ(back->num_traces(), d.num_traces());
-  EXPECT_EQ(bytes_of(*back), bytes);  // byte-exact re-serialization
-  for (std::size_t g = 0; g < d.num_guesses(); ++g) {
-    EXPECT_EQ(back->score(g), d.score(g));
-    EXPECT_EQ(back->score_sd(g), d.score_sd(g));
-  }
-  EXPECT_EQ(back->ranking(), d.ranking());
-
-  // Truncation never parses.
-  std::size_t toff = 0;
-  EXPECT_EQ(dg::deserialize_distinguisher(
-                std::span<const std::uint8_t>(bytes.data(), bytes.size() - 1), toff),
-            nullptr);
-}
-
-TEST(Serde, EveryBackendRoundTripsItsFoldBitExactly) {
+TEST(ProfiledBackends, FoldRanksTheLeakAndIsDeterministic) {
   {
-    const Stream st(12, 2, 1, 90, 0x5E01);
-    dg::CpaDistinguisher d(st.guesses, st.columns);
-    st.feed(d, 0, st.hyp.size());
-    expect_roundtrip(d);
-  }
-  {
-    const Stream st(12, 3, 3, 90, 0x5E02);
-    // A small synthetic phase precision (diagonal-dominant PD matrix).
-    const std::vector<double> alpha = {1.0, 0.8, 1.2};
-    const std::vector<double> beta = {0.1, -0.2, 0.0};
+    const Stream st(12, 3, 90, 0x5E02);
+    // Unit fits and a small diagonal-dominant PD phase precision.
+    const std::vector<double> alpha = {1.0, 1.0, 1.0};
+    const std::vector<double> beta = {0.0, 0.0, 0.0};
     const std::vector<double> prec = {2.0, 0.1, 0.0, 0.1, 1.5, 0.2, 0.0, 0.2, 1.8};
-    dg::TemplateDistinguisher d(st.guesses, alpha, beta, prec);
-    st.feed(d, 0, st.hyp.size());
-    EXPECT_GT(d.score_sd(0), 0.0);  // profiled backends report per-trace sd
-    expect_roundtrip(d);
+    expect_profiled_fold(st, [&] {
+      return dg::TemplateDistinguisher(st.guesses, alpha, beta, prec);
+    });
   }
   {
-    const Stream st(12, 2, 2, 90, 0x5E03);
+    // 90 traces at batch 64: one full batch plus a staged tail that the
+    // score reads must fold in.
+    const Stream st(12, 2, 90, 0x5E03);
     std::vector<dg::LrHead> heads(2);
     heads[0] = {0.9, 0.05, 16.0, 4.0, 32.0, 0.5, 0.4};
     heads[1] = {1.1, -0.1, 16.0, 4.0, 32.0, 0.5, -0.2};
-    dg::LrDistinguisher d(st.guesses, heads, 64);
-    st.feed(d, 0, st.hyp.size());
-    EXPECT_GT(d.score_sd(0), 0.0);
-    expect_roundtrip(d);
-
-    // The LR merge contract: sharded folds (including the per-guess
-    // hypothesis-energy sums) recombine to the serial fold when the
-    // shard cut is batch-aligned -- each 64-trace tile is then reduced
-    // identically on both sides before the (exact) sum-of-sums merge.
-    dg::LrDistinguisher serial(st.guesses, heads, 64);
-    st.feed(serial, 0, st.hyp.size());
-    dg::LrDistinguisher a(st.guesses, heads, 64);
-    dg::LrDistinguisher b(st.guesses, heads, 64);
-    st.feed(a, 0, 64);
-    st.feed(b, 64, st.hyp.size());
-    a.merge(b);
-    EXPECT_EQ(bytes_of(a), bytes_of(serial));
+    expect_profiled_fold(st, [&] { return dg::LrDistinguisher(st.guesses, heads, 64); });
   }
 }
 

@@ -6,7 +6,8 @@
 //   - sharded capture produces BYTE-identical merged archives at 1, 2,
 //     and 7 workers (and with no pool at all);
 //   - the parallel all-component attack returns results identical to
-//     the serial loop at every worker count.
+//     the serial loop at every worker count, in memory and off the
+//     archive.
 // Worker count must never leak into results; only the shard count (a
 // config value, part of the experiment's identity) may.
 
@@ -21,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "attack/hypothesis.h"
 #include "attack/key_recovery.h"
 #include "attack/parallel_attack.h"
 #include "common/rng.h"
@@ -31,7 +31,6 @@
 #include "exec/thread_pool.h"
 #include "falcon/falcon.h"
 #include "sca/campaign.h"
-#include "tracestore/archive.h"
 
 using namespace fd;
 
@@ -147,30 +146,6 @@ TEST(ParallelFor, FirstExceptionInChunkOrderIsRethrown) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "chunk 2");  // index order, not completion order
   }
-}
-
-TEST(ParallelReduce, MergesInChunkIndexOrder) {
-  exec::ThreadPool pool(4);
-  // Non-commutative merge (string concatenation) exposes any ordering
-  // violation immediately.
-  const std::string serial = exec::parallel_reduce<std::string>(
-      nullptr, 26, 7, std::string(),
-      [](exec::ChunkRange r) {
-        std::string s;
-        for (std::size_t i = r.begin; i < r.end; ++i) s += static_cast<char>('a' + i);
-        return s;
-      },
-      [](std::string acc, std::string part) { return acc + part; });
-  const std::string parallel = exec::parallel_reduce<std::string>(
-      &pool, 26, 7, std::string(),
-      [](exec::ChunkRange r) {
-        std::string s;
-        for (std::size_t i = r.begin; i < r.end; ++i) s += static_cast<char>('a' + i);
-        return s;
-      },
-      [](std::string acc, std::string part) { return acc + part; });
-  EXPECT_EQ(serial, "abcdefghijklmnopqrstuvwxyz");
-  EXPECT_EQ(parallel, serial);
 }
 
 // --- seed splitting --------------------------------------------------------
@@ -289,7 +264,7 @@ TEST(ExecDeterminism, ParallelComponentAttackMatchesSerialExactly) {
     return attack::component_attack_config(kp.sk, cfg, /*row=*/0, ci.slot, ci.imag);
   };
 
-  const auto serial = attack::attack_all_components_serial(sets, config_for);
+  const auto serial = attack::attack_all_components_parallel(sets, config_for, nullptr);
   ASSERT_EQ(serial.size(), kp.sk.params.n);
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
@@ -310,7 +285,7 @@ TEST(ExecDeterminism, ParallelComponentAttackMatchesSerialExactly) {
 TEST(ExecDeterminism, ArchiveAttackAndStreamingManyMatchSerial) {
   ChaCha20Prng rng("exec archive pin");
   const auto kp = falcon::keygen(3, rng);
-  const std::size_t hn = kp.sk.params.n >> 1;
+  const std::size_t n = kp.sk.params.n;
 
   TempFile archive("exec_archive_pin.fdtrace");
   sca::CampaignConfig camp;
@@ -326,44 +301,25 @@ TEST(ExecDeterminism, ArchiveAttackAndStreamingManyMatchSerial) {
     return attack::component_attack_config(kp.sk, cfg, /*row=*/0, ci.slot, ci.imag);
   };
 
-  std::vector<attack::ComponentResult> serial, parallel;
-  std::string error;
-  ASSERT_TRUE(attack::attack_all_components_from_archive(archive.path, config_for, nullptr,
-                                                         serial, &error))
-      << error;
+  // The archive attack (gate off) at 1 and 2 workers equals the serial
+  // in-memory attack over the same campaign.
+  const auto serial = attack::attack_all_components_parallel(
+      sca::run_full_campaign(kp.sk, camp), config_for, nullptr);
+  std::vector<std::size_t> all(n);
+  for (std::size_t i = 0; i < n; ++i) all[i] = i;
   exec::ThreadPool pool(2);
-  ASSERT_TRUE(attack::attack_all_components_from_archive(archive.path, config_for, &pool,
-                                                         parallel, &error))
-      << error;
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t idx = 0; idx < serial.size(); ++idx) {
-    EXPECT_EQ(parallel[idx].bits, serial[idx].bits) << "component " << idx;
-  }
-
-  // run_cpa_streaming_many == one run_cpa_streaming per spec.
-  std::vector<attack::StreamingCpaSpec> specs;
-  for (std::size_t slot = 0; slot < hn; ++slot) {
-    const auto truth = attack::KnownOperand::from(kp.sk.b01[slot]);
-    attack::StreamingCpaSpec spec;
-    spec.slot = slot;
-    spec.sample_offsets = {sca::window::kOffAccZ1a};
-    spec.guesses = attack::MantissaCandidates::adversarial(truth.y0, false, 20, 0xA78 + slot);
-    spec.model = [](std::uint32_t guess, const attack::KnownOperand& k) {
-      return attack::hyp_low_add_z1a(guess, k);
-    };
-    specs.push_back(std::move(spec));
-  }
-  std::vector<attack::CpaEngine> many;
-  ASSERT_TRUE(attack::run_cpa_streaming_many(archive.path, specs, &pool, many, &error))
-      << error;
-  ASSERT_EQ(many.size(), specs.size());
-  for (std::size_t slot = 0; slot < specs.size(); ++slot) {
-    tracestore::ArchiveReader reader;
-    ASSERT_TRUE(reader.open(archive.path));
-    const auto one = attack::run_cpa_streaming(reader, specs[slot]);
-    EXPECT_EQ(many[slot].ranking(), one.ranking()) << "slot " << slot;
-    for (std::size_t g = 0; g < specs[slot].guesses.size(); ++g) {
-      EXPECT_EQ(many[slot].peak(g), one.peak(g)) << "slot " << slot << " guess " << g;
+  for (exec::ThreadPool* p : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+    std::vector<attack::ComponentResult> from_archive;
+    std::vector<std::size_t> accepted;
+    std::string error;
+    ASSERT_TRUE(attack::attack_components_gated(archive.path, attack::QualityConfig{},
+                                                config_for, p, all, from_archive, accepted,
+                                                nullptr, &error))
+        << error;
+    ASSERT_EQ(from_archive.size(), serial.size());
+    for (std::size_t idx = 0; idx < serial.size(); ++idx) {
+      EXPECT_EQ(from_archive[idx].bits, serial[idx].bits) << "component " << idx;
+      EXPECT_EQ(accepted[idx], camp.num_traces) << "component " << idx;
     }
   }
 }

@@ -14,7 +14,11 @@
 //     reassignment -- with the same bytes either way;
 //   - a wrong --token is a clean bounded failure (the flap cap), never
 //     a livelock, and the --serve process survives to serve the next
-//     correctly-authenticated coordinator.
+//     correctly-authenticated coordinator;
+//   - a frame type outside the v6 catalogue (the retired type 8, an
+//     unassigned type 15) is a detected connection failure on both
+//     ends: the decoder latches, a pipe worker exits 1, and a remote
+//     speaking one is reaped and its task reassigned.
 //
 // The protocol half needs no subprocesses; the fleet half spawns real
 // `fd-attack --serve` processes on 127.0.0.1:0 (a serve process exits
@@ -26,6 +30,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -37,7 +42,6 @@
 #include <thread>
 #include <vector>
 
-#include "attack/cpa_kernel.h"
 #include "attack/recovery_pipeline.h"
 #include "common/rng.h"
 #include "exec/retry.h"
@@ -111,27 +115,6 @@ fleet::FleetConfig base_fleet(const std::string& archive, std::size_t workers) {
   return fc;
 }
 
-// A real CpaSums fold built through the batch kernel, so every vector
-// has the shape the serializer commits to.
-attack::CpaSums make_fold_sums(std::size_t guesses, std::size_t samples,
-                               std::size_t traces) {
-  attack::CpaSums sums;
-  attack::CpaBatchKernel kernel(guesses, samples, {});
-  std::vector<double> hyps(guesses);
-  std::vector<float> samps(samples);
-  for (std::size_t t = 0; t < traces; ++t) {
-    for (std::size_t i = 0; i < guesses; ++i) {
-      hyps[i] = static_cast<double>(exec::mix64(t * 131 + i) % 9);
-    }
-    for (std::size_t i = 0; i < samples; ++i) {
-      samps[i] = static_cast<float>(exec::mix64(0xF0 + t * 17 + i) % 255) * 0.125F;
-    }
-    kernel.add_trace(sums, hyps, samps);
-  }
-  kernel.flush(sums);
-  return sums;
-}
-
 // --- frame corpus ----------------------------------------------------------
 
 // A representative frame mix: empty, tiny, structured, and a payload
@@ -192,13 +175,6 @@ Corpus build_corpus() {
   p.clear();
   fleet::encode_result(p, fleet::TaskResult{});
   add(fleet::FrameType::kResult, p);
-
-  p.clear();
-  fleet::FoldFrame fold;
-  fold.task_id = 11;
-  fold.sums = make_fold_sums(5, 7, 3);
-  fleet::encode_fold(p, fold);
-  add(fleet::FrameType::kFold, p);
   return c;
 }
 
@@ -306,65 +282,27 @@ TEST(NetProtocol, LengthLiesAreBoundedAndLatched) {
   EXPECT_FALSE(dec2.corrupt());
 }
 
-TEST(NetProtocol, FoldPayloadMutationIsRejectedOrCanonical) {
-  // The frame CRC catches wire damage; this pins the layer BELOW it:
-  // decode_fold on an already-delivered payload whose bytes are hostile.
-  // Every mutation must either be rejected or decode to a fold whose
-  // header is self-consistent and whose re-encoding reproduces the
-  // accepted bytes exactly (no silent canonicalization).
-  fleet::FoldFrame fold;
-  fold.task_id = 77;
-  fold.sums = make_fold_sums(6, 4, 9);
-  std::vector<std::uint8_t> payload;
-  fleet::encode_fold(payload, fold);
+TEST(NetProtocol, UnknownFrameTypesLatchCorrupt) {
+  // Versions match exactly, so a peer never speaks a type this decoder
+  // does not know. A CRC-valid frame of the retired type 8 or of a
+  // never-assigned type must latch the stream, not be skipped.
+  for (const std::uint16_t type : {std::uint16_t{8}, std::uint16_t{15}}) {
+    std::vector<std::uint8_t> bytes;
+    fleet::encode_frame(bytes, fleet::FrameType::kHeartbeat, {});
+    const std::uint8_t payload[] = {1, 2, 3};
+    fleet::encode_frame(bytes, static_cast<fleet::FrameType>(type), payload);
+    fleet::encode_frame(bytes, fleet::FrameType::kHeartbeat, {});
 
-  fleet::FoldFrame clean;
-  ASSERT_TRUE(fleet::decode_fold(payload, clean));
-  ASSERT_EQ(clean.sums.traces, 9u);
-
-  std::size_t accepted = 0;
-  for (std::uint64_t trial = 0; trial < 512; ++trial) {
-    auto bytes = payload;
-    const std::size_t flips = 1 + exec::mix64(0xF01D + trial) % 4;
-    for (std::size_t k = 0; k < flips; ++k) {
-      const std::uint64_t d = exec::mix64(trial * 16 + k);
-      bytes[d % bytes.size()] ^= static_cast<std::uint8_t>(1 + (d >> 32) % 255);
-    }
-    // Seeded truncation rides along: a cut prefix must never decode.
-    if (trial % 7 == 0) bytes.resize(exec::mix64(0x7C + trial) % bytes.size());
-
-    fleet::FoldFrame out;
-    if (!fleet::decode_fold(bytes, out)) continue;
-    ++accepted;
-    // Accepted folds obey the header-consistency contract...
-    EXPECT_EQ(out.sums.have_ref, out.sums.traces != 0) << "trial " << trial;
-    if (out.sums.traces != 0) {
-      EXPECT_GT(out.sums.num_guesses, 0u) << "trial " << trial;
-      EXPECT_GT(out.sums.num_samples, 0u) << "trial " << trial;
-    }
-    EXPECT_LE(out.sums.traces, 1ULL << 40) << "trial " << trial;
-    EXPECT_EQ(out.sums.sum_h.size(), out.sums.num_guesses);
-    EXPECT_EQ(out.sums.sum_t.size(), out.sums.num_samples);
-    EXPECT_EQ(out.sums.sum_ht.size(), out.sums.num_guesses * out.sums.num_samples);
-    // ...and round-trip byte-exact (the serialization is canonical, so
-    // a mutated-but-accepted payload IS the encoding of its decode).
-    std::vector<std::uint8_t> back;
-    fleet::encode_fold(back, out);
-    EXPECT_EQ(back, bytes) << "trial " << trial;
-    // Merging into an empty accumulator adopts cleanly; merging into a
-    // differently-shaped one must fail checked, never corrupt.
-    attack::CpaSums empty;
-    EXPECT_TRUE(attack::merge_cpa_sums(empty, out.sums)) << "trial " << trial;
-    if (out.sums.traces != 0 && (out.sums.num_guesses != clean.sums.num_guesses ||
-                                 out.sums.num_samples != clean.sums.num_samples)) {
-      attack::CpaSums dst = clean.sums;
-      EXPECT_FALSE(attack::merge_cpa_sums(dst, out.sums)) << "trial " << trial;
-      EXPECT_EQ(dst.traces, clean.sums.traces) << "trial " << trial;
-    }
+    fleet::FrameDecoder dec;
+    dec.feed(bytes);
+    fleet::Frame f;
+    ASSERT_TRUE(dec.next(f)) << "type " << type;  // the frame before it
+    EXPECT_EQ(f.type, fleet::FrameType::kHeartbeat);
+    EXPECT_FALSE(dec.next(f)) << "type " << type;
+    EXPECT_TRUE(dec.corrupt()) << "type " << type;
+    EXPECT_EQ(dec.error(), "unknown frame type " + std::to_string(type));
+    EXPECT_FALSE(dec.next(f)) << "type " << type;  // latched: nothing after
   }
-  // Most payload bytes are f64 sum data, so plenty of mutations decode;
-  // the point is that every single one was rejected-or-canonical.
-  EXPECT_GT(accepted, 0u);
 }
 
 TEST(NetProtocol, AuthAndFileFramesRoundTrip) {
@@ -903,6 +841,159 @@ TEST(NetFleet, WrongTokenFailsCleanlyAndServeSurvives) {
   ASSERT_TRUE(good.ok) << good.error;
   EXPECT_TRUE(good.recovery.f_exact);
   EXPECT_TRUE(good.recovery.forgery_verified);
+}
+
+// A stand-in remote worker that speaks a frame type no v6 peer may send:
+// it accepts every connection on a loopback port, answers each kTask
+// with one CRC-valid frame of `bad_type`, and holds the link until the
+// coordinator drops it. Stopped by a wake-up connection at destruction.
+class BadTypeRemote {
+ public:
+  explicit BadTypeRemote(std::uint16_t bad_type) : bad_type_(bad_type) {
+    std::string err;
+    if (listener_.listen_on("127.0.0.1", 0, err)) {
+      thread_ = std::thread([this] { serve(); });
+    }
+  }
+  ~BadTypeRemote() {
+    stop_ = true;
+    if (!thread_.joinable()) return;
+    std::string err;
+    const int fd = fleet::connect_tcp("127.0.0.1", port(), 1000, err);
+    if (fd >= 0) ::close(fd);
+    thread_.join();
+  }
+  BadTypeRemote(const BadTypeRemote&) = delete;
+  BadTypeRemote& operator=(const BadTypeRemote&) = delete;
+
+  [[nodiscard]] bool listening() const { return listener_.is_open(); }
+  [[nodiscard]] std::uint16_t port() const { return listener_.bound_port(); }
+  [[nodiscard]] std::size_t bad_frames_sent() const { return sent_; }
+
+ private:
+  void serve() {
+    while (!stop_) {
+      const int sock = listener_.accept_one();
+      if (sock < 0) break;
+      fleet::TcpTransport link(sock);
+      fleet::FrameDecoder dec;
+      std::uint8_t buf[64 << 10];
+      while (!stop_) {
+        ::pollfd p{link.poll_fd(), POLLIN, 0};
+        if (::poll(&p, 1, 100) <= 0) continue;
+        const std::ptrdiff_t n = link.read_some(buf, sizeof buf);
+        if (n == fleet::Transport::kWouldBlock) continue;
+        if (n <= 0) break;  // the coordinator dropped the link
+        dec.feed({buf, static_cast<std::size_t>(n)});
+        fleet::Frame f;
+        while (dec.next(f)) {
+          if (f.type != fleet::FrameType::kTask) continue;
+          std::vector<std::uint8_t> frame;
+          fleet::encode_frame(frame, static_cast<fleet::FrameType>(bad_type_), {});
+          if (link.write_all(frame)) ++sent_;
+        }
+      }
+    }
+  }
+
+  std::uint16_t bad_type_;
+  fleet::TcpListener listener_;
+  std::atomic<bool> stop_{false};
+  std::atomic<std::size_t> sent_{0};
+  std::thread thread_;  // last: uses every member above
+};
+
+TEST(NetFleet, UnknownFrameTypeGetsRemoteReapedAndReassigned) {
+  TempFile ref_tmp("net_badtype_ref.fdtrace");
+  const Reference ref = single_process_reference(ref_tmp.path);
+  ASSERT_TRUE(ref.pipeline.ok) << ref.pipeline.error;
+
+  // One local worker plus a remote that answers its task with a frame
+  // of the retired type 8, then (second run) of the unassigned type 15.
+  // Each is a corrupt stream: the coordinator re-dials, the flap cap
+  // declares the remote dead, and its task is reassigned to the local
+  // worker -- with the single-process bytes either way.
+  for (const std::uint16_t bad_type : {std::uint16_t{8}, std::uint16_t{15}}) {
+    const std::string tag = "type " + std::to_string(bad_type);
+    BadTypeRemote remote(bad_type);
+    ASSERT_TRUE(remote.listening()) << tag;
+    TempFile tmp("net_badtype_" + std::to_string(bad_type) + ".fdtrace");
+    TempFile telemetry(tmp.path + ".jsonl");
+    auto fc = base_fleet(tmp.path, 1);
+    fc.remotes.push_back({"127.0.0.1", remote.port()});
+    fc.reconnect_backoff_ms = 1;
+    fc.telemetry_path = telemetry.path;
+
+    const auto res = fleet::run_fleet(fc);
+    ASSERT_TRUE(res.ok) << tag << ": " << res.error;
+    EXPECT_GE(remote.bad_frames_sent(), 1u) << tag;
+    EXPECT_GE(res.worker_deaths, 1u) << tag;
+    EXPECT_GE(res.reassignments, 1u) << tag;
+    // The disconnects were the decoder's latch, not a heartbeat timeout
+    // or a payload decode failure.
+    const std::vector<std::uint8_t> log = read_file(telemetry.path);
+    EXPECT_NE(std::string(log.begin(), log.end())
+                  .find("corrupt frame stream: unknown frame type " + std::to_string(bad_type)),
+              std::string::npos)
+        << tag;
+    EXPECT_EQ(res.recovery.recovered_f, ref.pipeline.recovery.recovered_f) << tag;
+    EXPECT_TRUE(res.recovery.f_exact) << tag;
+    EXPECT_TRUE(res.recovery.forgery_verified) << tag;
+    EXPECT_EQ(read_file(tmp.path), ref.archive) << tag;
+  }
+}
+
+TEST(NetFleet, UnknownFrameTypeIsFatalToAPipeWorker) {
+  // The worker side of the same rule: `fd-attack --worker` fed a
+  // CRC-valid type-8 frame reports the corruption and exits 1.
+  int to_worker[2];
+  int from_worker[2];
+  ASSERT_EQ(::pipe(to_worker), 0);
+  ASSERT_EQ(::pipe(from_worker), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(to_worker[0], STDIN_FILENO);
+    ::dup2(from_worker[1], STDOUT_FILENO);
+    ::close(to_worker[0]);
+    ::close(to_worker[1]);
+    ::close(from_worker[0]);
+    ::close(from_worker[1]);
+    ::execl(FD_ATTACK_BIN, FD_ATTACK_BIN, "--worker", static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  ::close(to_worker[0]);
+  ::close(from_worker[1]);
+
+  std::vector<std::uint8_t> bytes;
+  fleet::encode_frame(bytes, static_cast<fleet::FrameType>(8), {});
+  // Close stdin right behind the frame: a worker that skipped it would
+  // exit 0 at EOF instead of reporting the corruption.
+  const ssize_t written = ::write(to_worker[1], bytes.data(), bytes.size());
+  ::close(to_worker[1]);
+  ASSERT_EQ(written, static_cast<ssize_t>(bytes.size()));
+
+  fleet::FrameDecoder dec;
+  std::uint8_t buf[4096];
+  ssize_t n = 0;
+  while ((n = ::read(from_worker[0], buf, sizeof buf)) > 0) {
+    dec.feed({buf, static_cast<std::size_t>(n)});
+  }
+  ::close(from_worker[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+
+  std::vector<fleet::Frame> frames;
+  fleet::Frame f;
+  while (dec.next(f)) frames.push_back(f);
+  EXPECT_FALSE(dec.corrupt());
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].type, fleet::FrameType::kHello);
+  EXPECT_EQ(frames[1].type, fleet::FrameType::kError);
+  EXPECT_EQ(std::string(frames[1].payload.begin(), frames[1].payload.end()),
+            "worker: unknown frame type 8");
 }
 
 #endif  // FD_ATTACK_BIN

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 
+#include "attack/parallel_attack.h"
 #include "attack/streaming_cpa.h"
 #include "common/rng.h"
 #include "falcon/falcon.h"
@@ -63,8 +64,10 @@ TEST(StreamingCpa, ArchiveReproducesInMemoryCampaignBitExactly) {
   EXPECT_EQ(reader.meta().logn, 4U);
   EXPECT_EQ(reader.meta().seed, cfg.seed);
 
+  std::vector<std::size_t> slots(sets.size());
+  for (std::size_t s = 0; s < slots.size(); ++s) slots[s] = s;
   std::vector<sca::TraceSet> loaded;
-  ASSERT_TRUE(sca::load_all_trace_sets(reader, loaded));
+  ASSERT_TRUE(sca::load_trace_sets_for(reader, slots, loaded));
   ASSERT_EQ(loaded.size(), sets.size());
   for (std::size_t s = 0; s < sets.size(); ++s) {
     ASSERT_EQ(loaded[s].traces.size(), sets[s].traces.size()) << "slot " << s;
@@ -125,8 +128,6 @@ TEST(StreamingCpa, StreamedComponentAttackMatchesInMemory) {
   const std::size_t slot = 3;
   TempFile tmp("sc_component.fdtrace");
   ASSERT_TRUE(sca::run_campaign_to_archive(kp.sk, cfg, tmp.path).ok);
-  tracestore::ArchiveReader reader;
-  ASSERT_TRUE(reader.open(tmp.path));
 
   const auto sets = sca::run_full_campaign(kp.sk, cfg);
 
@@ -140,8 +141,17 @@ TEST(StreamingCpa, StreamedComponentAttackMatchesInMemory) {
     const ComponentDataset mem_ds = build_component_dataset(sets[slot], imag);
     const ComponentResult mem = attack_component(mem_ds, cac);
 
-    ComponentResult disk;
-    ASSERT_TRUE(attack_component_from_archive(reader, slot, imag, cac, disk));
+    // The archive path: the gated component attack with the gate off.
+    const std::size_t idx = slot + (imag ? kp.sk.params.n / 2 : 0);
+    const std::size_t ids[] = {idx};
+    std::vector<ComponentResult> results;
+    std::vector<std::size_t> accepted;
+    std::string err;
+    ASSERT_TRUE(attack_components_gated(
+        tmp.path, QualityConfig{}, [&](const ComponentIndex&) { return cac; }, nullptr, ids,
+        results, accepted, nullptr, &err))
+        << err;
+    const ComponentResult& disk = results[idx];
 
     EXPECT_EQ(disk.bits, mem.bits) << "imag=" << imag;
     EXPECT_EQ(disk.sign, mem.sign);

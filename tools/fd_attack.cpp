@@ -2,7 +2,7 @@
 //
 //   fd-attack recover [--logn N] [--traces N] [--threads N] [--shards N]
 //                     [--sigma F] [--seed 0xN] [--archive PATH]
-//                     [--keep-archive] [--json] [--batch N] [--single-pass 0|1]
+//                     [--keep-archive] [--json] [--batch N] [--cpa-shards N]
 //                     [--backend cpa|template|lr] [--profile-traces N]
 //                     [--profile-seed 0xN] [--fault-plan SPEC] [--adaptive]
 //                     [--checkpoint] [--resume] [--checkpoint-every N]
@@ -18,8 +18,10 @@
 // Performance (DESIGN.md section 11): --batch sets the CPA kernel's
 // trace batch (1 = the naive per-trace reference fold; batch changes
 // correlations only at the ULP level but is part of the experiment
-// hash); --single-pass 0 falls back to one archive scan per component
-// instead of the default one-scan-per-round demux.
+// hash); --cpa-shards N splits each extend-and-prune scan's guess space
+// into N chunks over the thread pool (byte-identical results at any N,
+// so it stays out of the experiment hash). Each attack round reads the
+// archive in one demultiplexing scan.
 //
 // Backends (DESIGN.md section 14): --backend selects the per-component
 // distinguisher. `cpa` (default) is the paper's non-profiled Pearson
@@ -90,7 +92,7 @@ int usage() {
                "usage: fd-attack recover [--logn N] [--traces N] [--threads N]\n"
                "                         [--shards N] [--sigma F] [--seed 0xN]\n"
                "                         [--archive PATH] [--keep-archive] [--json]\n"
-               "                         [--batch N] [--cpa-shards N] [--single-pass 0|1]\n"
+               "                         [--batch N] [--cpa-shards N]\n"
                "                         [--backend cpa|template|lr] [--profile-traces N]\n"
                "                         [--profile-seed 0xN]\n"
                "                         [--fault-plan SPEC] [--adaptive] [--checkpoint]\n"
@@ -138,7 +140,6 @@ struct Options {
   bool keep_archive = false;
   bool json = false;
   std::size_t batch = attack::kDefaultCpaBatch;
-  bool single_pass = true;
   distinguisher::BackendSelection backend;
   std::string fault_plan;
   bool adaptive = false;
@@ -197,10 +198,6 @@ bool parse(int argc, char** argv, Options& opt) {
       const char* v = value();
       if (v == nullptr) return false;
       opt.cpa_shards = std::strtoull(v, nullptr, 0);
-    } else if (arg == "--single-pass") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.single_pass = std::strtoul(v, nullptr, 0) != 0;
     } else if (arg == "--backend") {
       const char* v = value();
       if (v == nullptr || !distinguisher::parse_backend(v, opt.backend.backend)) return false;
@@ -417,7 +414,6 @@ int main(int argc, char** argv) {
   cfg.attack.cpa_batch = opt.batch;
   cfg.attack.cpa_shards = opt.cpa_shards;
   cfg.attack.backend = opt.backend;
-  cfg.single_pass = opt.single_pass;
   cfg.capture_shards = opt.shards;
   cfg.archive_path = opt.archive;
   cfg.keep_archive = opt.keep_archive;
@@ -501,7 +497,6 @@ int main(int argc, char** argv) {
     field("threads", std::to_string(opt.threads), false);
     field("cpa_batch", std::to_string(opt.batch), false);
     field("cpa_shards", std::to_string(opt.cpa_shards), false);
-    field("single_pass", opt.single_pass ? "true" : "false", false);
     field("backend", std::string(distinguisher::backend_name(opt.backend.backend)), true);
     field("records", std::to_string(res.captured_records), false);
     field("components_correct", std::to_string(res.recovery.components_correct), false);
