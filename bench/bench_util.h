@@ -47,14 +47,14 @@ inline sca::TraceSet synthetic_coefficient_campaign(fpr::Fpr secret_re, fpr::Fpr
     sca::EventWindowRecorder recorder(/*slot=*/0);
     {
       fpr::ScopedLeakageSink scope(&recorder);
-      fpr::leak(fpr::LeakageTag::kTriggerBegin, 0);
+      fpr::leak_trigger(fpr::LeakageTag::kTriggerBegin, 0);
       const fpr::Fpr t_rr = fpr::fpr_mul(secret_re, known_re);
       const fpr::Fpr t_ii = fpr::fpr_mul(secret_im, known_im);
       const fpr::Fpr t_ri = fpr::fpr_mul(secret_re, known_im);
       const fpr::Fpr t_ir = fpr::fpr_mul(secret_im, known_re);
       (void)fpr::fpr_sub(t_rr, t_ii);
       (void)fpr::fpr_add(t_ri, t_ir);
-      fpr::leak(fpr::LeakageTag::kTriggerEnd, 0);
+      fpr::leak_trigger(fpr::LeakageTag::kTriggerEnd, 0);
     }
     sca::CapturedTrace ct;
     ct.trace = device.synthesize(recorder.events());

@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -136,9 +137,15 @@ void ChaCha20Prng::refill() {
 }
 
 void ChaCha20Prng::fill(std::span<std::uint8_t> out) {
-  for (std::uint8_t& byte : out) {
+  // Whole runs of the keystream buffer at a time; the byte stream is the
+  // same as drawing one byte after another.
+  std::size_t done = 0;
+  while (done < out.size()) {
     if (buf_pos_ == sizeof(buf_)) refill();
-    byte = buf_[buf_pos_++];
+    const std::size_t n = std::min(out.size() - done, sizeof(buf_) - buf_pos_);
+    std::memcpy(out.data() + done, buf_ + buf_pos_, n);
+    buf_pos_ += n;
+    done += n;
   }
 }
 

@@ -50,14 +50,14 @@ void mul_fft_secret_by_known(std::span<Fpr> out, std::span<const Fpr> secret,
                              std::span<const Fpr> known, unsigned logn) {
   const std::size_t hn = std::size_t{1} << (logn - 1);
   for (std::size_t u = 0; u < hn; ++u) {
-    leak(LeakageTag::kTriggerBegin, u);
+    leak_trigger(LeakageTag::kTriggerBegin, u);
     const Fpr t_rr = fpr_mul(secret[u], known[u]);
     const Fpr t_ii = fpr_mul(secret[u + hn], known[u + hn]);
     const Fpr t_ri = fpr_mul(secret[u], known[u + hn]);
     const Fpr t_ir = fpr_mul(secret[u + hn], known[u]);
     out[u] = fpr_sub(t_rr, t_ii);
     out[u + hn] = fpr_add(t_ri, t_ir);
-    leak(LeakageTag::kTriggerEnd, u);
+    leak_trigger(LeakageTag::kTriggerEnd, u);
   }
 }
 

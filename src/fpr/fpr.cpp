@@ -6,8 +6,9 @@
 namespace fd::fpr {
 
 namespace detail {
-thread_local LeakageSink* tl_sink = nullptr;
-}
+constinit thread_local LeakageSink* tl_sink = nullptr;
+constinit thread_local LeakageSink* tl_armed = nullptr;
+}  // namespace detail
 
 const char* leakage_tag_name(LeakageTag tag) {
   switch (tag) {

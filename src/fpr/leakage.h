@@ -10,7 +10,14 @@
 // stream into noisy traces; the attack (src/attack) predicts the same
 // intermediates from key hypotheses.
 //
-// When no sink is installed the hooks cost a single predictable branch.
+// Arming rule: a data event reaches the installed sink only while that
+// sink is *armed*; trigger markers (leak_trigger) reach the installed
+// sink whether or not it is armed. A whole-run sink (the default) is
+// armed for as long as it is installed. A trigger-scoped sink starts
+// disarmed and arms itself from its trigger handler, so the windows a
+// capture keeps cost one virtual call per event and everything outside
+// them costs one thread-local load and a not-taken branch -- the same
+// as running with no sink at all.
 
 #include <cstdint>
 
@@ -74,36 +81,74 @@ class LeakageSink {
  public:
   virtual ~LeakageSink() = default;
   virtual void on_event(const LeakageEvent& ev) = 0;
+
+  [[nodiscard]] bool trigger_scoped() const { return trigger_scoped_; }
+
+ protected:
+  LeakageSink() = default;
+  explicit LeakageSink(bool trigger_scoped) : trigger_scoped_(trigger_scoped) {}
+
+  // Start / stop receiving data events. Both are no-ops unless this sink
+  // is the calling thread's installed sink.
+  inline void arm();
+  inline void disarm();
+
+ private:
+  bool trigger_scoped_ = false;
 };
 
 namespace detail {
-extern thread_local LeakageSink* tl_sink;
+// tl_armed is either nullptr or tl_sink. constinit lets the inline hooks
+// read both directly, without a TLS initialisation wrapper call.
+extern constinit thread_local LeakageSink* tl_sink;
+extern constinit thread_local LeakageSink* tl_armed;
+}  // namespace detail
+
+inline void LeakageSink::arm() {
+  if (detail::tl_sink == this) detail::tl_armed = this;
 }
 
-// Installs (or clears, with nullptr) the current thread's sink; returns
-// the previous one so scopes can nest.
-inline LeakageSink* set_leakage_sink(LeakageSink* sink) {
-  LeakageSink* prev = detail::tl_sink;
-  detail::tl_sink = sink;
-  return prev;
+inline void LeakageSink::disarm() {
+  if (detail::tl_armed == this) detail::tl_armed = nullptr;
 }
 
+// The calling thread's installed sink, and the sink data events
+// currently reach (nullptr or the installed sink).
 [[nodiscard]] inline LeakageSink* leakage_sink() { return detail::tl_sink; }
+[[nodiscard]] inline LeakageSink* armed_leakage_sink() { return detail::tl_armed; }
 
+// A data event: device activity, delivered to the armed sink only.
 inline void leak(LeakageTag tag, std::uint64_t value) {
-  if (LeakageSink* s = detail::tl_sink) s->on_event({tag, value});
+  if (LeakageSink* s = detail::tl_armed) s->on_event({tag, value});
 }
 
-// RAII scope helper.
+// A trigger marker (kTriggerBegin / kTriggerEnd): always delivered to
+// the installed sink, armed or not.
+inline void leak_trigger(LeakageTag tag, std::uint64_t slot) {
+  if (LeakageSink* s = detail::tl_sink) s->on_event({tag, slot});
+}
+
+// Installs (or clears, with nullptr) the current thread's sink for the
+// scope; a whole-run sink is armed at once, a trigger-scoped one starts
+// disarmed. The destructor restores both the previous installed sink
+// and its armed state, so scopes nest.
 class ScopedLeakageSink {
  public:
-  explicit ScopedLeakageSink(LeakageSink* sink) : prev_(set_leakage_sink(sink)) {}
-  ~ScopedLeakageSink() { set_leakage_sink(prev_); }
+  explicit ScopedLeakageSink(LeakageSink* sink)
+      : prev_sink_(detail::tl_sink), prev_armed_(detail::tl_armed) {
+    detail::tl_sink = sink;
+    detail::tl_armed = sink != nullptr && !sink->trigger_scoped() ? sink : nullptr;
+  }
+  ~ScopedLeakageSink() {
+    detail::tl_sink = prev_sink_;
+    detail::tl_armed = prev_armed_;
+  }
   ScopedLeakageSink(const ScopedLeakageSink&) = delete;
   ScopedLeakageSink& operator=(const ScopedLeakageSink&) = delete;
 
  private:
-  LeakageSink* prev_;
+  LeakageSink* prev_sink_;
+  LeakageSink* prev_armed_;
 };
 
 }  // namespace fd::fpr

@@ -1,6 +1,7 @@
 #include "sca/campaign.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -22,64 +23,17 @@ namespace {
 
 using fpr::Fpr;
 
-// Keeps the most recent f-row (even-occurrence) window per slot. A
-// signing run triggers each slot once per basis row and per internal
-// salt retry; the final even occurrence is the one matching the emitted
-// signature's salt.
-class LastWindowRecorder final : public fpr::LeakageSink {
- public:
-  explicit LastWindowRecorder(std::size_t num_slots, unsigned row = 0)
-      : row_(row), windows_(num_slots), occurrence_(num_slots, 0) {}
-
-  void on_event(const fpr::LeakageEvent& ev) override {
-    if (ev.tag == fpr::LeakageTag::kTriggerBegin) {
-      const std::size_t slot = static_cast<std::size_t>(ev.value);
-      if (slot < windows_.size()) {
-        recording_ = (occurrence_[slot]++ % 2) == row_;
-        if (recording_) {
-          current_ = slot;
-          windows_[slot].clear();
-        }
-      }
-      return;
-    }
-    if (ev.tag == fpr::LeakageTag::kTriggerEnd) {
-      recording_ = false;
-      return;
-    }
-    if (recording_) windows_[current_].push_back(ev);
-  }
-
-  [[nodiscard]] const std::vector<fpr::LeakageEvent>& window(std::size_t slot) const {
-    return windows_[slot];
-  }
-
-  void start_run() {
-    std::fill(occurrence_.begin(), occurrence_.end(), 0U);
-    recording_ = false;
-  }
-
-  // Signing attempts of the last run: each attempt (including internal
-  // salt retries the signer makes before a signature passes its norm
-  // check) triggers every slot once per basis row, i.e. twice.
-  [[nodiscard]] std::size_t run_attempts() const {
-    return occurrence_.empty() ? 0 : occurrence_[0] / 2;
-  }
-
- private:
-  unsigned row_;
-  std::vector<std::vector<fpr::LeakageEvent>> windows_;
-  std::vector<unsigned> occurrence_;
-  std::size_t current_ = 0;
-  bool recording_ = false;
-};
-
 // Per-campaign telemetry shared by the in-memory and archive capture
 // loops: query/record/retry counters, end-of-campaign throughput
-// gauges, and the user-facing progress callback. The callback fires in
-// every build; the metric calls compile to no-ops under FD_OBS=OFF.
+// gauges, per-phase wall time, and the user-facing progress callback.
+// The callback fires in every build; the metric calls compile to
+// no-ops under FD_OBS=OFF.
 class CampaignTelemetry {
  public:
+  // Capture phases whose wall time accumulates over the campaign and is
+  // reported once, on the sca.campaign event (never a span per query).
+  enum Phase { kSign, kSynth, kWrite, kNumPhases };
+
   CampaignTelemetry(const CampaignConfig& config, std::string_view mode)
       : config_(config),
         mode_(mode),
@@ -100,6 +54,15 @@ class CampaignTelemetry {
     }
   }
 
+  // Restarts the phase clock without charging anyone.
+  void mark() { last_ = std::chrono::steady_clock::now(); }
+  // Charges the time since the last mark()/charge() to `phase`.
+  void charge(Phase phase) {
+    const auto now = std::chrono::steady_clock::now();
+    phase_us_[phase] += std::chrono::duration<double, std::micro>(now - last_).count();
+    last_ = now;
+  }
+
   void finish(std::size_t queries, std::size_t records) {
     const double us = span_.elapsed_us();
     if (us > 0.0) {
@@ -112,6 +75,9 @@ class CampaignTelemetry {
         .with("queries", queries)
         .with("records", records)
         .with("wall_us", us)
+        .with("sign_us", phase_us_[kSign])
+        .with("synth_us", phase_us_[kSynth])
+        .with("write_us", phase_us_[kWrite])
         .emit();
   }
 
@@ -122,6 +88,8 @@ class CampaignTelemetry {
   obs::Counter& queries_;
   obs::Counter& records_;
   obs::Counter& retries_;
+  std::chrono::steady_clock::time_point last_;
+  double phase_us_[kNumPhases] = {};
 };
 
 // Adversary-side recomputation of FFT(c)[*] from public data.
@@ -207,10 +175,12 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
     const std::string message = "trace-" + std::to_string(d);
     recorder.start_run();
     falcon::Signature sig;
+    telemetry.mark();
     {
       fpr::ScopedLeakageSink scope(&recorder);
       sig = signer(sk, message, victim_rng);
     }
+    telemetry.charge(CampaignTelemetry::kSign);
     const std::uint64_t gq = config.fault_query_offset + d;
     const QueryFault qf = fplan.enabled() ? fplan.query_fault(gq) : QueryFault{};
     if (qf.drop) {
@@ -229,6 +199,7 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
       obs::MetricsRegistry::global().counter("sca.faults.saturated_queries").add(1);
     }
     const auto cf = known_fft_of_hash(sig, message, logn);
+    telemetry.mark();
     for (std::size_t s = 0; s < hn; ++s) {
       Trace trace = device.synthesize(recorder.window(s));
       if (!writer.is_open()) {
@@ -246,6 +217,7 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
         return out;
       }
       if (fplan.enabled()) apply_trace_faults(fplan, qf, gq, s, trace.samples);
+      telemetry.charge(CampaignTelemetry::kSynth);
       rec.slot = static_cast<std::uint32_t>(s);
       rec.index = static_cast<std::uint32_t>(d);
       rec.known_re_bits = cf[s].bits();
@@ -255,6 +227,7 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
         out.error = writer.error();
         return out;
       }
+      telemetry.charge(CampaignTelemetry::kWrite);
       ++out.records;
     }
     ++out.queries;
@@ -275,10 +248,12 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
       return out;
     }
   }
+  telemetry.mark();
   if (!writer.close()) {
     out.error = writer.error();
     return out;
   }
+  telemetry.charge(CampaignTelemetry::kWrite);
   telemetry.finish(out.queries, out.records);
   if (config.faults.chunk_corrupt_rate > 0.0) {
     std::string cerr;
@@ -360,11 +335,23 @@ ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
     out.records += shard_results[i].records;
   }
 
-  // Merge in shard-index order -- the deterministic reduction. The
-  // barrier above guarantees every shard file is complete first.
-  std::string merge_error;
-  if (!tracestore::merge_archives(shard_paths, path, &merge_error)) {
-    out.error = "merge: " + merge_error;
+  // Finalize; the barrier above guarantees every shard file is complete.
+  // Several shards merge in shard-index order -- the deterministic
+  // reduction. A single fresh shard is clean and writer-chunked, so its
+  // merge would only set kFlagMerged: patch the flag and rename the file
+  // into place (copy it when the shard is kept) -- the same bytes.
+  const bool single = plan.size() == 1;
+  const auto finalize_start = std::chrono::steady_clock::now();
+  std::string finalize_error;
+  const bool finalized =
+      single ? tracestore::promote_shard(shard_paths[0], path, config.keep_shards,
+                                         &finalize_error)
+             : tracestore::merge_archives(shard_paths, path, &finalize_error);
+  const double finalize_us = std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - finalize_start)
+                                .count();
+  if (!finalized) {
+    out.error = (single ? "finalize: " : "merge: ") + finalize_error;
     cleanup();
     return out;
   }
@@ -384,6 +371,8 @@ ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
       .with("shards", out.shards)
       .with("queries", out.queries)
       .with("records", out.records)
+      .with("finalize", single ? "rename" : "merge")
+      .with("finalize_us", finalize_us)
       .with("wall_us", span.elapsed_us())
       .emit();
   out.ok = true;
@@ -438,10 +427,12 @@ std::vector<TraceSet> run_full_campaign(const falcon::SecretKey& sk,
     const std::string message = "trace-" + std::to_string(d);
     recorder.start_run();
     falcon::Signature sig;
+    telemetry.mark();
     {
       fpr::ScopedLeakageSink scope(&recorder);
       sig = signer(sk, message, victim_rng);
     }
+    telemetry.charge(CampaignTelemetry::kSign);
     const std::uint64_t gq = config.fault_query_offset + d;
     const QueryFault qf = fplan.enabled() ? fplan.query_fault(gq) : QueryFault{};
     if (qf.drop) {
@@ -456,6 +447,7 @@ std::vector<TraceSet> run_full_campaign(const falcon::SecretKey& sk,
       obs::MetricsRegistry::global().counter("sca.faults.saturated_queries").add(1);
     }
     const auto cf = known_fft_of_hash(sig, message, logn);
+    telemetry.mark();
     for (std::size_t s = 0; s < hn; ++s) {
       CapturedTrace ct;
       ct.trace = device.synthesize(recorder.window(s));
@@ -464,6 +456,7 @@ std::vector<TraceSet> run_full_campaign(const falcon::SecretKey& sk,
       ct.known_im = cf[s + hn];
       sets[s].traces.push_back(std::move(ct));
     }
+    telemetry.charge(CampaignTelemetry::kSynth);
     ++captured;
     telemetry.on_query(recorder, d + 1, hn);
   }

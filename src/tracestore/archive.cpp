@@ -4,7 +4,9 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <system_error>
 
 #include "obs/metrics.h"
 
@@ -33,6 +35,12 @@ obs::Counter& read_crc_failures_counter() {
 }
 
 // --- little-endian (de)serialization into byte buffers --------------------
+//
+// Record payloads are encoded and decoded with bulk memcpy of the
+// in-memory fields, which is the on-disk little-endian layout only on a
+// little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the .fdtrace record codec memcpys little-endian fields");
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -44,10 +52,6 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   put_u32(out, static_cast<std::uint32_t>(v));
   put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void put_f32(std::vector<std::uint8_t>& out, float v) {
-  put_u32(out, std::bit_cast<std::uint32_t>(v));
 }
 
 void put_f64(std::vector<std::uint8_t>& out, double v) {
@@ -64,7 +68,6 @@ std::uint64_t get_u64(const std::uint8_t* p) {
          static_cast<std::uint64_t>(get_u32(p + 4)) << 32;
 }
 
-float get_f32(const std::uint8_t* p) { return std::bit_cast<float>(get_u32(p)); }
 double get_f64(const std::uint8_t* p) { return std::bit_cast<double>(get_u64(p)); }
 
 std::vector<std::uint8_t> encode_header(const ArchiveMeta& m) {
@@ -183,8 +186,10 @@ bool ArchiveWriter::open(const std::string& path, const ArchiveMeta& meta) {
   meta_.version = kFormatVersion;
   records_written_ = 0;
   pending_records_ = 0;
+  // No up-front reserve: the header's geometry may come from an
+  // untrusted file (repair/merge/split), so capacity grows with the
+  // records actually appended and is then reused chunk after chunk.
   payload_.clear();
-  payload_.reserve(meta_.traces_per_chunk * meta_.record_bytes());
   const auto header = encode_header(meta_);
   if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
     fail("short write on header");
@@ -203,11 +208,14 @@ bool ArchiveWriter::append(const TraceRecord& rec) {
          std::to_string(meta_.samples_per_trace));
     return false;
   }
-  put_u32(payload_, rec.slot);
-  put_u32(payload_, rec.index);
-  put_u64(payload_, rec.known_re_bits);
-  put_u64(payload_, rec.known_im_bits);
-  for (const float s : rec.samples) put_f32(payload_, s);
+  const std::size_t at = payload_.size();
+  payload_.resize(at + meta_.record_bytes());
+  std::uint8_t* p = payload_.data() + at;
+  std::memcpy(p, &rec.slot, 4);
+  std::memcpy(p + 4, &rec.index, 4);
+  std::memcpy(p + 8, &rec.known_re_bits, 8);
+  std::memcpy(p + 16, &rec.known_im_bits, 8);
+  std::memcpy(p + 24, rec.samples.data(), 4 * rec.samples.size());
   ++pending_records_;
   ++records_written_;
   if (pending_records_ == meta_.traces_per_chunk) return flush_chunk();
@@ -272,23 +280,30 @@ bool ArchiveReader::open(const std::string& path) {
   std::array<std::uint8_t, kHeaderBytes> buf;
   const std::size_t got = std::fread(buf.data(), 1, buf.size(), file_);
   std::string why;
-  if (!decode_header({buf.data(), got}, meta_, why)) {
-    error_ = why;
-    std::fclose(file_);
-    file_ = nullptr;
-    return false;
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    why = "cannot size '" + path + "': " + ec.message();
+  } else if (decode_header({buf.data(), got}, meta_, why)) {
+    file_bytes_ = static_cast<std::size_t>(size);
+    offset_ = kHeaderBytes;
+    return true;
   }
-  return true;
+  error_ = why;
+  std::fclose(file_);
+  file_ = nullptr;
+  return false;
 }
 
 bool ArchiveReader::load_next_chunk() {
   chunk_.clear();
   chunk_pos_ = 0;
   const std::size_t record_bytes = meta_.record_bytes();
-  std::vector<std::uint8_t> payload;
+  const std::size_t samples = meta_.samples_per_trace;
   for (;;) {
     std::array<std::uint8_t, kChunkHeaderBytes> head;
     const std::size_t got = std::fread(head.data(), 1, head.size(), file_);
+    offset_ += got;
     if (got == 0) return false;  // clean end of stream
     if (got < head.size()) {
       stats_.truncated_tail = true;
@@ -303,13 +318,23 @@ bool ArchiveReader::load_next_chunk() {
       stats_.truncated_tail = true;
       return false;
     }
-    payload.resize(count * record_bytes);
-    if (std::fread(payload.data(), 1, payload.size(), file_) != payload.size()) {
+    // Bound the allocation by the file, not by the header's word: a
+    // payload that cannot fit in the bytes left is a truncated tail.
+    // (Division, so a huge samples_per_trace cannot overflow the product.)
+    const std::size_t left = file_bytes_ > offset_ ? file_bytes_ - offset_ : 0;
+    if (count > left / record_bytes) {
+      stats_.truncated_tail = true;
+      return false;
+    }
+    payload_.resize(count * record_bytes);
+    const std::size_t read = std::fread(payload_.data(), 1, payload_.size(), file_);
+    offset_ += read;
+    if (read != payload_.size()) {
       stats_.truncated_tail = true;
       return false;
     }
     const std::size_t ordinal = chunk_ordinal_++;
-    if (crc32(payload) != want_crc) {
+    if (crc32(payload_) != want_crc) {
       ++stats_.chunks_corrupt;
       stats_.corrupt_chunk_indices.push_back(ordinal);
       read_crc_failures_counter().add(1);
@@ -319,16 +344,14 @@ bool ArchiveReader::load_next_chunk() {
     read_chunks_counter().add(1);
     chunk_.resize(count);
     for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint8_t* p = payload.data() + i * record_bytes;
+      const std::uint8_t* p = payload_.data() + i * record_bytes;
       TraceRecord& r = chunk_[i];
-      r.slot = get_u32(p);
-      r.index = get_u32(p + 4);
-      r.known_re_bits = get_u64(p + 8);
-      r.known_im_bits = get_u64(p + 16);
-      r.samples.resize(meta_.samples_per_trace);
-      for (std::uint32_t s = 0; s < meta_.samples_per_trace; ++s) {
-        r.samples[s] = get_f32(p + 24 + 4 * s);
-      }
+      std::memcpy(&r.slot, p, 4);
+      std::memcpy(&r.index, p + 4, 4);
+      std::memcpy(&r.known_re_bits, p + 8, 8);
+      std::memcpy(&r.known_im_bits, p + 16, 8);
+      r.samples.resize(samples);
+      std::memcpy(r.samples.data(), p + 24, 4 * samples);
     }
     max_resident_ = std::max(max_resident_, chunk_.size());
     return true;
@@ -362,6 +385,7 @@ std::size_t ArchiveReader::next_batch(std::vector<TraceRecord>& out,
 void ArchiveReader::rewind() {
   if (file_ == nullptr) return;
   std::fseek(file_, static_cast<long>(kHeaderBytes), SEEK_SET);
+  offset_ = kHeaderBytes;
   stats_ = {};
   chunk_.clear();
   chunk_pos_ = 0;
@@ -494,6 +518,38 @@ bool merge_archives(std::span<const std::string> inputs, const std::string& out_
     index_base += query_counts[i];
   }
   if (!writer.close()) return fail(writer.error());
+  return true;
+}
+
+bool promote_shard(const std::string& in_path, const std::string& out_path, bool keep_input,
+                   std::string* error) {
+  const auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = why;
+    return false;
+  };
+  // Validate the header before moving anything, so a failure leaves the
+  // input where it was.
+  ArchiveMeta meta;
+  {
+    ArchiveReader reader;
+    if (!reader.open(in_path)) return fail(in_path + ": " + reader.error());
+    meta = reader.meta();
+  }
+  if (keep_input) {
+    std::error_code ec;
+    std::filesystem::copy_file(in_path, out_path,
+                               std::filesystem::copy_options::overwrite_existing, ec);
+    if (ec) return fail("cannot copy '" + in_path + "' to '" + out_path + "': " + ec.message());
+  } else if (std::rename(in_path.c_str(), out_path.c_str()) != 0) {
+    return fail("cannot rename '" + in_path + "' to '" + out_path + "'");
+  }
+  // Patch the header's flags word (offset 36) in place.
+  const std::uint32_t flags = meta.flags | kFlagMerged;
+  std::FILE* f = std::fopen(out_path.c_str(), "r+b");
+  bool patched = f != nullptr && std::fseek(f, 36, SEEK_SET) == 0 &&
+                 std::fwrite(&flags, 1, sizeof(flags), f) == sizeof(flags);
+  if (f != nullptr) patched = std::fclose(f) == 0 && patched;
+  if (!patched) return fail("cannot update the header of '" + out_path + "'");
   return true;
 }
 

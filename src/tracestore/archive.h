@@ -39,8 +39,11 @@
 // reflected polynomial 0xEDB88320). A reader that hits a CRC mismatch
 // skips that chunk (its size is known from the header) and keeps
 // going; a short chunk header or short payload marks a truncated tail
-// and ends the stream cleanly. Neither case crashes or loses the
-// records of intact chunks.
+// and ends the stream cleanly, and so does a chunk whose record count
+// (times the header's record size) exceeds the bytes left in the file:
+// the reader never allocates more than the file holds, whatever the
+// header claims. Neither case crashes or loses the records of intact
+// chunks.
 
 #include <cstddef>
 #include <cstdint>
@@ -182,8 +185,11 @@ class ArchiveReader {
   bool load_next_chunk();  // false when the stream is exhausted
 
   std::FILE* file_ = nullptr;
+  std::size_t file_bytes_ = 0;  // size at open(): bounds every chunk read
+  std::size_t offset_ = 0;      // file offset of the next unread byte
   ArchiveMeta meta_;
   ArchiveStats stats_;
+  std::vector<std::uint8_t> payload_;  // raw bytes of the current chunk (reused)
   std::vector<TraceRecord> chunk_;  // decoded records of current chunk
   std::size_t chunk_pos_ = 0;
   std::size_t chunk_ordinal_ = 0;  // file-order index of the next chunk
@@ -215,6 +221,17 @@ struct VerifyReport {
 [[nodiscard]] bool merge_archives(std::span<const std::string> inputs,
                                   const std::string& out_path,
                                   std::string* error = nullptr);
+
+// The one-input merge without decoding a record: sets kFlagMerged in
+// the header of `in_path` and renames it to `out_path` -- or, when
+// `keep_input`, copies its raw bytes to `out_path` and flags the copy,
+// leaving the input untouched. For a clean archive written by
+// ArchiveWriter (chunks full except the last, no damage) the result is
+// byte-identical to merge_archives({in_path}, out_path); that is the
+// contract sharded capture relies on for its one-shard finalize. A
+// damaged input must go through merge_archives, which drops bad chunks.
+[[nodiscard]] bool promote_shard(const std::string& in_path, const std::string& out_path,
+                                 bool keep_input, std::string* error = nullptr);
 
 // Salvage pass (the `fd-tracedb repair` core): copies every CRC-valid
 // chunk's records of `in_path` into a fresh archive at `out_path`,

@@ -1,6 +1,7 @@
-// Leakage hook behaviour: event ordering, values, nesting, and the
-// guarantee that hypothesis models (mul_mantissa_steps) see exactly what
-// the instrumented fpr_mul emits.
+// Leakage hook behaviour: event ordering, values, nesting, the arming
+// rule for trigger-scoped sinks, and the guarantee that hypothesis
+// models (mul_mantissa_steps) see exactly what the instrumented fpr_mul
+// emits.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,18 @@ class Recorder final : public LeakageSink {
   }
 };
 
+// A trigger-scoped sink whose arming the test drives by hand.
+class ScopedRecorder final : public LeakageSink {
+ public:
+  ScopedRecorder() : LeakageSink(/*trigger_scoped=*/true) {}
+  void on_event(const LeakageEvent& ev) override { events.push_back(ev); }
+  using LeakageSink::arm;
+  using LeakageSink::disarm;
+  std::vector<LeakageEvent> events;
+};
+
+void one_mul() { (void)fpr_mul(Fpr::from_double(1.5), Fpr::from_double(2.5)); }
+
 TEST(FprLeakage, NoSinkNoEvents) {
   ASSERT_EQ(leakage_sink(), nullptr);
   (void)fpr_mul(Fpr::from_double(1.5), Fpr::from_double(2.5));  // must not crash
@@ -42,6 +55,126 @@ TEST(FprLeakage, ScopedSinkRestores) {
     EXPECT_EQ(leakage_sink(), &r);
   }
   EXPECT_EQ(leakage_sink(), nullptr);
+}
+
+TEST(FprLeakage, WholeRunSinkIsArmedWhileInstalled) {
+  Recorder r;
+  EXPECT_FALSE(r.trigger_scoped());
+  {
+    ScopedLeakageSink scope(&r);
+    EXPECT_EQ(armed_leakage_sink(), &r);
+    leak_trigger(LeakageTag::kTriggerBegin, 3);
+    one_mul();
+    leak_trigger(LeakageTag::kTriggerEnd, 3);
+  }
+  EXPECT_EQ(armed_leakage_sink(), nullptr);
+  // Every event, in emission order: trigger, the 17 fpr_mul events, trigger.
+  ASSERT_EQ(r.events.size(), 19U);
+  EXPECT_EQ(r.events.front().tag, LeakageTag::kTriggerBegin);
+  EXPECT_EQ(r.events[1].tag, LeakageTag::kMulSign);
+  EXPECT_EQ(r.events[17].tag, LeakageTag::kMulResult);
+  EXPECT_EQ(r.events.back().tag, LeakageTag::kTriggerEnd);
+}
+
+TEST(FprLeakage, TriggerScopedSinkGetsTriggersButDataOnlyWhenArmed) {
+  ScopedRecorder r;
+  ScopedLeakageSink scope(&r);
+  EXPECT_EQ(leakage_sink(), &r);
+  EXPECT_EQ(armed_leakage_sink(), nullptr);
+  leak_trigger(LeakageTag::kTriggerBegin, 0);
+  one_mul();
+  ASSERT_EQ(r.events.size(), 1U);  // the trigger only
+  r.arm();
+  EXPECT_EQ(armed_leakage_sink(), &r);
+  one_mul();
+  EXPECT_EQ(r.events.size(), 18U);
+  r.disarm();
+  one_mul();
+  leak_trigger(LeakageTag::kTriggerEnd, 0);
+  ASSERT_EQ(r.events.size(), 19U);
+  EXPECT_EQ(r.events.back().tag, LeakageTag::kTriggerEnd);
+}
+
+TEST(FprLeakage, ArmingAnUninstalledSinkIsANoOp) {
+  ScopedRecorder installed;
+  ScopedRecorder stranger;
+  ScopedLeakageSink scope(&installed);
+  stranger.arm();
+  EXPECT_EQ(armed_leakage_sink(), nullptr);
+  one_mul();
+  EXPECT_TRUE(installed.events.empty());
+  EXPECT_TRUE(stranger.events.empty());
+}
+
+TEST(FprLeakage, ArmingUnderAWholeRunSinkIsANoOp) {
+  Recorder whole;
+  ScopedRecorder stranger;
+  ScopedLeakageSink scope(&whole);
+  stranger.arm();
+  stranger.disarm();
+  EXPECT_EQ(armed_leakage_sink(), &whole);
+  one_mul();
+  EXPECT_EQ(whole.events.size(), 17U);
+  EXPECT_TRUE(stranger.events.empty());
+}
+
+TEST(FprLeakage, NestedScopesRestoreInstalledAndArmedState) {
+  ScopedRecorder outer;
+  Recorder whole;
+  ScopedRecorder inner;
+  {
+    ScopedLeakageSink s1(&outer);
+    outer.arm();
+    {
+      ScopedLeakageSink s2(&whole);
+      EXPECT_EQ(leakage_sink(), &whole);
+      EXPECT_EQ(armed_leakage_sink(), &whole);
+      {
+        ScopedLeakageSink s3(nullptr);
+        EXPECT_EQ(leakage_sink(), nullptr);
+        EXPECT_EQ(armed_leakage_sink(), nullptr);
+      }
+      EXPECT_EQ(leakage_sink(), &whole);
+      EXPECT_EQ(armed_leakage_sink(), &whole);
+      {
+        ScopedLeakageSink s4(&inner);
+        EXPECT_EQ(leakage_sink(), &inner);
+        EXPECT_EQ(armed_leakage_sink(), nullptr);  // starts disarmed
+        inner.arm();
+        EXPECT_EQ(armed_leakage_sink(), &inner);
+      }
+      EXPECT_EQ(armed_leakage_sink(), &whole);
+    }
+    // The outer sink comes back armed, as it was left.
+    EXPECT_EQ(leakage_sink(), &outer);
+    EXPECT_EQ(armed_leakage_sink(), &outer);
+    outer.disarm();
+    {
+      ScopedLeakageSink s5(&whole);
+    }
+    // ... and disarmed, as it was left the second time.
+    EXPECT_EQ(leakage_sink(), &outer);
+    EXPECT_EQ(armed_leakage_sink(), nullptr);
+  }
+  EXPECT_EQ(leakage_sink(), nullptr);
+  EXPECT_EQ(armed_leakage_sink(), nullptr);
+}
+
+TEST(FprLeakage, NoEventReachesAnArmedSinkAfterItsScope) {
+  ScopedRecorder r;
+  {
+    ScopedLeakageSink scope(&r);
+    r.arm();
+    one_mul();
+  }
+  const std::size_t seen = r.events.size();
+  EXPECT_EQ(seen, 17U);
+  EXPECT_EQ(armed_leakage_sink(), nullptr);
+  one_mul();
+  leak_trigger(LeakageTag::kTriggerBegin, 0);
+  r.arm();  // not installed any more: a no-op
+  one_mul();
+  EXPECT_EQ(r.events.size(), seen);
 }
 
 TEST(FprLeakage, MulEmitsPipelineInOrder) {

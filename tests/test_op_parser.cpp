@@ -55,10 +55,10 @@ TEST(OpParser, AddAndCancelledAdd) {
 
 TEST(OpParser, MixedSequenceWithTriggers) {
   const auto ev = capture([] {
-    fpr::leak(fpr::LeakageTag::kTriggerBegin, 7);
+    fpr::leak_trigger(fpr::LeakageTag::kTriggerBegin, 7);
     (void)fpr::fpr_mul(Fpr::from_double(3.0), Fpr::from_double(4.0));
     (void)fpr::fpr_add(Fpr::from_double(3.0), Fpr::from_double(4.0));
-    fpr::leak(fpr::LeakageTag::kTriggerEnd, 7);
+    fpr::leak_trigger(fpr::LeakageTag::kTriggerEnd, 7);
   });
   const auto ops = parse_op_records(ev);
   ASSERT_EQ(ops.size(), 4U);

@@ -3,13 +3,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "common/rng.h"
+#include "common/shake256.h"
+#include "exec/thread_pool.h"
 #include "falcon/falcon.h"
+#include "falcon/masked_sign.h"
 #include "sca/campaign.h"
 #include "sca/capture.h"
 #include "sca/device.h"
+#include "sca/faults.h"
 
 namespace fd::sca {
 namespace {
@@ -173,6 +182,185 @@ TEST(Campaign, FullCampaignCoversAllSlots) {
     EXPECT_EQ(sets[s].slot, s);
     ASSERT_EQ(sets[s].traces.size(), 2U);
     EXPECT_EQ(sets[s].traces[0].trace.samples.size(), window::kEventsPerWindow);
+  }
+}
+
+// --- trigger-armed recorder vs the whole-run stream ------------------------
+
+// Cuts the windows LastWindowRecorder keeps out of a complete event
+// stream: per slot, the last occurrence of the row's parity.
+std::vector<std::vector<LeakageEvent>> cut_windows(const std::vector<LeakageEvent>& stream,
+                                                   std::size_t hn, unsigned row) {
+  std::vector<std::vector<LeakageEvent>> out(hn);
+  std::vector<unsigned> occurrence(hn, 0);
+  std::vector<LeakageEvent>* current = nullptr;
+  for (const LeakageEvent& ev : stream) {
+    if (ev.tag == LeakageTag::kTriggerBegin) {
+      current = nullptr;
+      if (ev.value < hn && occurrence[ev.value]++ % 2 == row) {
+        current = &out[ev.value];
+        current->clear();
+      }
+    } else if (ev.tag == LeakageTag::kTriggerEnd) {
+      current = nullptr;
+    } else if (current != nullptr) {
+      current->push_back(ev);
+    }
+  }
+  return out;
+}
+
+std::size_t count_triggers(const std::vector<LeakageEvent>& stream) {
+  std::size_t n = 0;
+  for (const LeakageEvent& ev : stream) n += ev.tag == LeakageTag::kTriggerBegin;
+  return n;
+}
+
+// The armed recorder sees only its windows' events, yet keeps exactly
+// the windows a whole-run recording would cut at the same triggers --
+// for both basis rows, the plain and the masked signer, and signing runs
+// with internal salt retries (where an earlier attempt's window must be
+// replaced by the final one's).
+TEST(LastWindowRecorder, MatchesWindowsCutFromTheFullStream) {
+  ChaCha20Prng keyrng(0xA005);
+  const auto kp = falcon::keygen(4, keyrng);
+  const std::size_t hn = kp.sk.params.n >> 1;
+  const SignerFn signers[2] = {&falcon::sign, &falcon::sign_masked};
+  std::size_t retried_runs = 0;
+  for (const unsigned row : {0U, 1U}) {
+    for (std::size_t which = 0; which < 2; ++which) {
+      ChaCha20Prng rng_full(0x5A17 + which);
+      ChaCha20Prng rng_armed(0x5A17 + which);
+      LastWindowRecorder armed(hn, row);
+      for (std::size_t d = 0; d < 48; ++d) {
+        const std::string message = "eq-" + std::to_string(d);
+        FullRecorder full;
+        falcon::Signature sig_full;
+        {
+          fpr::ScopedLeakageSink scope(&full);
+          sig_full = signers[which](kp.sk, message, rng_full);
+        }
+        armed.start_run();
+        falcon::Signature sig_armed;
+        {
+          fpr::ScopedLeakageSink scope(&armed);
+          sig_armed = signers[which](kp.sk, message, rng_armed);
+        }
+        ASSERT_TRUE(std::equal(std::begin(sig_full.salt), std::end(sig_full.salt),
+                               std::begin(sig_armed.salt)));
+        const std::size_t attempts = count_triggers(full.events()) / (2 * hn);
+        ASSERT_EQ(armed.run_attempts(), attempts);
+        retried_runs += attempts > 1;
+        const auto want = cut_windows(full.events(), hn, row);
+        for (std::size_t s = 0; s < hn; ++s) {
+          const auto& got = armed.window(s);
+          ASSERT_FALSE(got.empty()) << "slot " << s;
+          ASSERT_EQ(got.size(), want[s].size()) << "slot " << s;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].tag, want[s][i].tag) << "slot " << s << " event " << i;
+            ASSERT_EQ(got[i].value, want[s][i].value) << "slot " << s << " event " << i;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(retried_runs, 0U) << "no signing run retried its salt; pick more messages";
+}
+
+// --- capture bytes pinned --------------------------------------------------
+//
+// The digests below were recorded from the byte-wise reference capture
+// path (every leakage event dispatched, one-shard captures re-encoded by
+// merge_archives). Any optimisation of capture must reproduce these
+// archives bit for bit: same records, same chunking, same header flags.
+
+struct TempArchive {
+  explicit TempArchive(std::string p) : path(std::move(p)) { std::remove(path.c_str()); }
+  ~TempArchive() { std::remove(path.c_str()); }
+  std::string path;
+};
+
+// First 64 bits of SHAKE256 over the file's bytes.
+std::uint64_t file_digest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  Shake256 sh;
+  sh.inject(bytes);
+  sh.flip();
+  return sh.extract_u64();
+}
+
+constexpr const char* kPinFaultPlan = "drop=0.1,desync=0.05,sat=0.02,glitch=0.01,chunk=0.02";
+
+ShardedCampaignConfig pin_config(std::size_t shards, bool faulted, unsigned row = 0) {
+  ShardedCampaignConfig cfg;
+  cfg.base.num_traces = 40;
+  cfg.base.device.noise_sigma = 2.0;
+  cfg.base.device.jitter_max = 2;
+  cfg.base.seed = 0x9A11;
+  cfg.base.row = row;
+  if (faulted) {
+    std::string err;
+    EXPECT_TRUE(parse_fault_plan(kPinFaultPlan, cfg.base.faults, &err)) << err;
+  }
+  cfg.num_shards = shards;
+  return cfg;
+}
+
+falcon::KeyPair pin_key() {
+  ChaCha20Prng rng(0xB17E);
+  return falcon::keygen(4, rng);
+}
+
+struct CapturePin {
+  std::size_t shards;
+  bool faulted;
+  unsigned row;
+  std::uint64_t digest;
+};
+
+constexpr CapturePin kCapturePins[] = {
+    {1, false, 0, 0x94c80a7f70b965b1ULL},
+    {3, false, 0, 0x78908dddfa1fb0e1ULL},
+    {1, true, 0, 0xa6a61f54f33ca31bULL},
+    {3, true, 0, 0xcfac5aa86a460058ULL},
+    {1, false, 1, 0xf0e69d3f16593187ULL},
+};
+
+TEST(CapturePins, ArchiveBytesMatchReferenceAtAnyWorkerCount) {
+  const auto kp = pin_key();
+  for (const CapturePin& pin : kCapturePins) {
+    const auto cfg = pin_config(pin.shards, pin.faulted, pin.row);
+    for (const std::size_t workers : {0UL, 2UL, 7UL}) {
+      std::unique_ptr<exec::ThreadPool> pool;
+      if (workers > 0) pool = std::make_unique<exec::ThreadPool>(workers);
+      TempArchive out("pin_archive.fdtrace");
+      const auto res = run_campaign_sharded(kp.sk, cfg, out.path, pool.get());
+      ASSERT_TRUE(res.ok) << res.error;
+      EXPECT_EQ(file_digest(out.path), pin.digest)
+          << std::hex << "0x" << file_digest(out.path) << std::dec << " at shards "
+          << pin.shards << ", faulted " << pin.faulted << ", row " << pin.row << ", workers "
+          << workers;
+    }
+  }
+}
+
+// keep_shards leaves the untouched shard files next to an archive that
+// is still the pinned one.
+TEST(CapturePins, KeptShardsMatchReference) {
+  const auto kp = pin_key();
+  constexpr std::uint64_t kShard0Digest[] = {0x27a97b972ff0d7fbULL, 0x19de7730c534b952ULL};  // 1 shard, 3 shards
+  for (const std::size_t i : {0UL, 1UL}) {
+    auto cfg = pin_config(i == 0 ? 1 : 3, /*faulted=*/false);
+    cfg.keep_shards = true;
+    TempArchive out("pin_kept.fdtrace");
+    const auto res = run_campaign_sharded(kp.sk, cfg, out.path, nullptr);
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_EQ(res.shard_paths.size(), cfg.num_shards);
+    EXPECT_EQ(file_digest(out.path), kCapturePins[i].digest);
+    EXPECT_EQ(file_digest(res.shard_paths[0]), kShard0Digest[i])
+        << std::hex << "0x" << file_digest(res.shard_paths[0]);
+    for (const auto& p : res.shard_paths) std::remove(p.c_str());
   }
 }
 

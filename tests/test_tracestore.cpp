@@ -1,12 +1,15 @@
 // Trace-archive format tests: byte-exact roundtrip, header gating,
-// damage recovery (corrupt chunks, truncated tails), shard merging, and
-// the bounded-memory reading contract.
+// damage recovery (corrupt chunks, truncated tails, header geometry the
+// file cannot hold), shard merging and one-shard promotion, and the
+// bounded-memory reading contract.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -68,6 +71,23 @@ void patch_file(const std::string& path, long offset, std::uint8_t xor_mask) {
   ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
   std::fputc(c ^ xor_mask, f);
   std::fclose(f);
+}
+
+// Overwrites a little-endian u32 field of an archive file.
+void write_u32_at(const std::string& path, long offset, std::uint32_t v) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  const std::uint8_t b[4] = {static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+                             static_cast<std::uint8_t>(v >> 16),
+                             static_cast<std::uint8_t>(v >> 24)};
+  ASSERT_EQ(std::fwrite(b, 1, 4, f), 4U);
+  std::fclose(f);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
 void truncate_file(const std::string& path, long new_size) {
@@ -385,6 +405,88 @@ TEST(Split, EmptyArchiveRejected) {
   std::string error;
   EXPECT_FALSE(split_archive(in.path, "ts_split_empty_out", 2, nullptr, &error));
   EXPECT_NE(error.find("no records"), std::string::npos);
+}
+
+// A header whose trace length no chunk of this file could hold must not
+// drive the reader's allocation (it used to zero-fill count * 16 GB and
+// die on bad_alloc): the first chunk reads as a truncated tail.
+TEST(Archive, HugeTraceLengthIsBoundedByTheFile) {
+  TempFile tmp("ts_huge_geom.fdtrace");
+  write_archive(tmp.path, 2 * kTracesPerChunk);
+  write_u32_at(tmp.path, 28, 0xFFFFFFF0U);  // samples_per_trace
+
+  ArchiveReader reader;
+  ASSERT_TRUE(reader.open(tmp.path)) << reader.error();
+  TraceRecord rec;
+  EXPECT_FALSE(reader.next(rec));
+  EXPECT_TRUE(reader.stats().truncated_tail);
+  EXPECT_EQ(reader.stats().records_read, 0U);
+
+  VerifyReport report;
+  ASSERT_TRUE(verify_archive(tmp.path, report));
+  EXPECT_TRUE(report.truncated_tail);
+  EXPECT_EQ(report.records, 0U);
+
+  // The offline tools that re-write an archive take its geometry as
+  // given; they must not allocate by it either.
+  TempFile repaired("ts_huge_geom_repaired.fdtrace");
+  RepairReport rr;
+  EXPECT_TRUE(repair_archive(tmp.path, repaired.path, rr));
+  EXPECT_TRUE(rr.truncated_tail);
+  EXPECT_EQ(rr.records_kept, 0U);
+}
+
+// A chunk header claiming one record more than the file holds.
+TEST(Archive, ChunkOneRecordPastTheEndIsTruncatedTail) {
+  TempFile tmp("ts_count_past_end.fdtrace");
+  write_archive(tmp.path, 2 * kTracesPerChunk + 3);  // chunks of 8, 8, 3
+  write_u32_at(tmp.path, static_cast<long>(chunk_offset(2) + 4), 4);
+
+  ArchiveReader reader;
+  ASSERT_TRUE(reader.open(tmp.path));
+  TraceRecord rec;
+  std::size_t n = 0;
+  while (reader.next(rec)) ++n;
+  EXPECT_EQ(n, 2 * kTracesPerChunk);
+  EXPECT_TRUE(reader.stats().truncated_tail);
+  EXPECT_EQ(reader.stats().chunks_corrupt, 0U);
+}
+
+// promote_shard is the one-input merge without the re-encode: the same
+// bytes, whether the input is renamed away or kept.
+TEST(Promote, ByteIdenticalToSingleInputMerge) {
+  TempFile in("ts_promote_in.fdtrace");
+  TempFile merged("ts_promote_merged.fdtrace");
+  TempFile kept("ts_promote_kept.fdtrace");
+  TempFile moved("ts_promote_moved.fdtrace");
+  write_archive(in.path, 2 * kTracesPerChunk + 5);
+  const std::string original = read_file(in.path);
+  const std::string inputs[1] = {in.path};
+  std::string error;
+  ASSERT_TRUE(merge_archives(inputs, merged.path, &error)) << error;
+  const std::string want = read_file(merged.path);
+  ASSERT_NE(want, original);  // the merged flag differs
+
+  ASSERT_TRUE(promote_shard(in.path, kept.path, /*keep_input=*/true, &error)) << error;
+  EXPECT_EQ(read_file(kept.path), want);
+  EXPECT_EQ(read_file(in.path), original);
+
+  ASSERT_TRUE(promote_shard(in.path, moved.path, /*keep_input=*/false, &error)) << error;
+  EXPECT_EQ(read_file(moved.path), want);
+  EXPECT_EQ(std::fopen(in.path.c_str(), "rb"), nullptr);
+}
+
+TEST(Promote, RejectsNonArchive) {
+  TempFile in("ts_promote_junk.fdtrace");
+  TempFile out("ts_promote_junk_out.fdtrace");
+  {
+    std::ofstream f(in.path, std::ios::binary);
+    f << std::string(2 * kHeaderBytes, 'x');  // long enough to reach the magic check
+  }
+  std::string error;
+  EXPECT_FALSE(promote_shard(in.path, out.path, /*keep_input=*/true, &error));
+  EXPECT_NE(error.find("magic"), std::string::npos) << error;
+  EXPECT_FALSE(promote_shard("ts_promote_missing.fdtrace", out.path, false, &error));
 }
 
 }  // namespace
