@@ -62,11 +62,9 @@ int main(int argc, char** argv) {
   std::printf("(a) sign bit, sample = SIGN event:\n");
   timer.reset();
   {
-    attack::StreamingScan scan(ds.columns(sca::window::kOffSign));
+    attack::StreamingScan scan(ds.columns(sca::window::kOffSign, {attack::HypKind::kSign}));
     for (const unsigned g : {0U, 1U}) {
-      const double r = scan.score_one(g, [&](std::uint32_t gg, std::size_t t, std::size_t c) {
-        return attack::hyp_sign(gg != 0, ds.views[c].known[t]);
-      });
+      const double r = scan.score_one(g);
       char label[64];
       std::snprintf(label, sizeof label, "guess sign=%u", g);
       print_corr_row(label, r, kTraces, (g != 0) == secret.sign());
@@ -80,15 +78,11 @@ int main(int argc, char** argv) {
   std::printf("\n(b) exponent, sample = EXP_SUM event (top 5 of the window):\n");
   timer.reset();
   {
-    attack::StreamingScan scan(ds.columns(sca::window::kOffExpSum));
+    attack::StreamingScan scan(
+        ds.columns(sca::window::kOffExpSum, {attack::HypKind::kExpSum}));
     std::vector<std::uint32_t> guesses;
     for (std::uint32_t e = 1005; e <= 1053; ++e) guesses.push_back(e);
-    const auto top = scan.top_k_list(
-        guesses,
-        [&](std::uint32_t g, std::size_t t, std::size_t c) {
-          return attack::hyp_exponent(g, ds.views[c].known[t]);
-        },
-        5);
+    const auto top = scan.top_k_list(guesses, 5);
     for (const auto& s : top) {
       char label[64];
       std::snprintf(label, sizeof label, "guess exp=0x%03X", s.guess);
@@ -114,19 +108,15 @@ int main(int argc, char** argv) {
     // structure is identical; more traces only sharpen the correlations).
     const std::size_t d_full = 1500;
     const auto ds_full = attack::build_component_dataset(set, false, d_full);
-    attack::StreamingScan scan({ds_full.views[0].samples[sca::window::kOffProdLL]});
-    const auto model = [&](std::uint32_t g, std::size_t t, std::size_t) {
-      return attack::hyp_low_mul_ll(g, ds_full.views[0].known[t]);
-    };
+    attack::StreamingScan scan({{ds_full.views[0].samples[sca::window::kOffProdLL],
+                                 &ds_full.views[0].known,
+                                 {attack::HypKind::kMulY0}}});
     std::printf("  [exhaustive mode: scanning all 2^25 low-mantissa guesses over %zu traces]\n",
                 d_full);
-    extend_top = scan.top_k(0, std::uint64_t{1} << 25, model, 8);
+    extend_top = scan.top_k(0, std::uint64_t{1} << 25, 8);
   } else {
-    attack::StreamingScan scan(ds.columns(sca::window::kOffProdLL));
-    const auto model = [&](std::uint32_t g, std::size_t t, std::size_t c) {
-      return attack::hyp_low_mul_ll(g, ds.views[c].known[t]);
-    };
-    extend_top = scan.top_k_list(low_cands, model, 8);
+    attack::StreamingScan scan(ds.columns(sca::window::kOffProdLL, {attack::HypKind::kMulY0}));
+    extend_top = scan.top_k_list(low_cands, 8);
   }
   for (std::size_t i = 0; i < 5 && i < extend_top.size(); ++i) {
     char label[64];
@@ -141,15 +131,10 @@ int main(int argc, char** argv) {
   std::printf("\n(d) mantissa ADDITION (prune) attack on the extend survivors:\n");
   timer.reset();
   {
-    attack::StreamingScan scan(ds.columns(sca::window::kOffAccZ1a));
+    attack::StreamingScan scan(ds.columns(sca::window::kOffAccZ1a, {attack::HypKind::kAccZ1a}));
     std::vector<std::uint32_t> survivors;
     for (const auto& s : extend_top) survivors.push_back(s.guess);
-    const auto top = scan.top_k_list(
-        survivors,
-        [&](std::uint32_t g, std::size_t t, std::size_t c) {
-          return attack::hyp_low_add_z1a(g, ds.views[c].known[t]);
-        },
-        5);
+    const auto top = scan.top_k_list(survivors, 5);
     for (const auto& s : top) {
       char label[64];
       std::snprintf(label, sizeof label, "guess x0=0x%07X", s.guess);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace fd::attack {
 
@@ -60,31 +62,121 @@ std::vector<std::size_t> CpaEngine::ranking() const {
   return order;
 }
 
-StreamingScan::StreamingScan(std::vector<std::vector<float>> sample_columns,
-                             CpaKernelConfig kernel)
+StreamingScan::StreamingScan(const std::vector<Column>& columns, CpaKernelConfig kernel)
     : kernel_(kernel) {
-  assert(!sample_columns.empty());
-  d_ = sample_columns[0].size();
-  cols_.resize(sample_columns.size());
-  col_sum_.resize(sample_columns.size());
-  col_var_.resize(sample_columns.size());
+  if (kernel_.batch_traces == 0) kernel_.batch_traces = 1;
+  d_ = columns.empty() ? 0 : columns[0].samples.size();
   const double dn = static_cast<double>(d_);
-  for (std::size_t c = 0; c < sample_columns.size(); ++c) {
-    const auto& src = sample_columns[c];
-    assert(src.size() == d_);
+  for (const Column& src : columns) {
+    if (src.samples.size() != d_ || src.known == nullptr || src.known->size() < d_) {
+      throw std::invalid_argument(
+          "StreamingScan: every column needs " + std::to_string(d_) +
+          " samples and known operands (got " + std::to_string(src.samples.size()) +
+          " samples, " + std::to_string(src.known == nullptr ? 0 : src.known->size()) +
+          " operands)");
+    }
     // Store the column shifted by its first trace: Pearson r is
     // shift-invariant, and the dn*st2 - st*st form below no longer
     // cancels catastrophically when the raw samples carry a large DC
     // offset (the old float-column code silently zeroed r there).
-    auto& col = cols_[c];
-    col.resize(d_);
-    const double t0 = d_ > 0 ? static_cast<double>(src[0]) : 0.0;
-    for (std::size_t t = 0; t < d_; ++t) col[t] = static_cast<double>(src[t]) - t0;
+    auto& col = cols_.emplace_back(d_);
+    const double t0 = d_ > 0 ? static_cast<double>(src.samples[0]) : 0.0;
+    for (std::size_t t = 0; t < d_; ++t) col[t] = static_cast<double>(src.samples[t]) - t0;
     const double st = lanes4_sum(col.data(), d_);
     const double st2 = lanes4_sumsq(col.data(), d_);
-    col_sum_[c] = st;
-    col_var_[c] = dn * st2 - st * st;
+    col_sum_.push_back(st);
+    col_var_.push_back(dn * st2 - st * st);
+    known_.push_back(src.known);
+    models_.push_back(src.model);
   }
+}
+
+std::vector<StreamingScan::Scored> StreamingScan::top_k(std::uint64_t guess_begin,
+                                                        std::uint64_t guess_end,
+                                                        std::size_t keep) const {
+  return scan(guess_end - guess_begin, guess_begin, {}, keep);
+}
+
+std::vector<StreamingScan::Scored> StreamingScan::top_k_list(
+    std::span<const std::uint32_t> guesses, std::size_t keep) const {
+  return scan(guesses.size(), 0, guesses, keep);
+}
+
+double StreamingScan::score_one(std::uint32_t guess) const {
+  const std::uint32_t list[1] = {guess};
+  const auto r = top_k_list(list, 1);
+  return r.empty() ? 0.0 : r[0].score;
+}
+
+std::vector<StreamingScan::Scored> StreamingScan::scan(std::uint64_t count, std::uint64_t first,
+                                                       std::span<const std::uint32_t> list,
+                                                       std::size_t keep) const {
+  const double dn = static_cast<double>(d_);
+  const std::size_t ncols = cols_.size();
+  // Guesses per lanes4_hyp_fold call: enough rows to amortise the call
+  // and keep the evaluate-then-fold tile (kGuessTile x batch doubles)
+  // cache-resident; the prune phases score exactly one tile.
+  constexpr std::size_t kGuessTile = 16;
+  // The serial scorer over one guess range, with its own keep-list. The
+  // keep-list holds the range's top `keep` under the total order (score
+  // descending, arrival ascending): the sorted insert walks past every
+  // equal-or-better score, so an equal-scoring later guess ranks after
+  // the earlier one, and pop_back evicts the worst under that same
+  // order. Per guess, the column contributions are summed in column
+  // order exactly as a one-guess-at-a-time loop would.
+  const auto scan_range = [&](std::uint64_t begin, std::uint64_t end) {
+    std::vector<Scored> best;
+    best.reserve(keep + 1);
+    std::uint32_t tile[kGuessTile];
+    double sh[kGuessTile], sh2[kGuessTile], sht[kGuessTile], score_sum[kGuessTile];
+    for (std::uint64_t g0 = begin; g0 < end; g0 += kGuessTile) {
+      const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(kGuessTile, end - g0));
+      for (std::size_t i = 0; i < n; ++i) {
+        tile[i] = list.empty() ? static_cast<std::uint32_t>(first + g0 + i) : list[g0 + i];
+        score_sum[i] = 0.0;
+      }
+      for (std::size_t c = 0; c < ncols; ++c) {
+        const HypColumn col{models_[c], known_[c], cols_[c].data(), d_};
+        lanes4_hyp_fold(col, kernel_.batch_traces, tile, n, sh, sh2, sht);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double var_h = dn * sh2[i] - sh[i] * sh[i];
+          const double cov = dn * sht[i] - sh[i] * col_sum_[c];
+          const double denom = var_h * col_var_[c];
+          score_sum[i] += denom > 0.0 ? cov / std::sqrt(denom) : 0.0;
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const double score = score_sum[i] / static_cast<double>(ncols);
+        if (best.size() < keep || score > best.back().score) {
+          // Insert in sorted (descending) order.
+          auto it = best.begin();
+          while (it != best.end() && it->score >= score) ++it;
+          best.insert(it, {tile[i], score});
+          if (best.size() > keep) best.pop_back();
+        }
+      }
+    }
+    return best;
+  };
+  if (shards_ <= 1 || count < 2) return scan_range(0, count);
+
+  // Sharded scan: per-guess scores are independent of one another, so
+  // each chunk's keep-list is EXACTLY what the serial scan would have
+  // kept from that range. Concatenating the lists in chunk-index order
+  // keeps equal scores in arrival order (within a chunk by the insert
+  // rule; across chunks because ranges are ascending), so the stable
+  // sort below reproduces the serial result byte for byte at any shard
+  // or worker count.
+  const auto plan = exec::static_chunks(static_cast<std::size_t>(count), shards_);
+  const auto parts = exec::parallel_map<std::vector<Scored>>(
+      pool_, plan.size(),
+      [&](std::size_t c) { return scan_range(plan[c].begin, plan[c].end); });
+  std::vector<Scored> all;
+  for (const auto& p : parts) all.insert(all.end(), p.begin(), p.end());
+  std::stable_sort(all.begin(), all.end(),
+                   [](const Scored& a, const Scored& b) { return a.score > b.score; });
+  if (all.size() > keep) all.resize(keep);
+  return all;
 }
 
 }  // namespace fd::attack

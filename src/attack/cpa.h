@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "attack/cpa_kernel.h"
+#include "attack/hypothesis.h"
 #include "exec/parallel_for.h"
 
 namespace fd::attack {
@@ -65,25 +66,34 @@ class CpaEngine {
 // Memory-light streaming scan for huge guess spaces (the 2^25 / 2^27
 // exhaustive enumerations): traces are stored once, then each guess is
 // scored in a single pass without per-guess state. Scores are the mean,
-// over the provided sample columns, of the Pearson correlation.
+// over the columns, of the Pearson correlation between the column's
+// samples and its model's predictions.
 //
-// Columns are stored shifted by their first trace (doubles), and the
-// per-guess fold runs block-batched in the kernel's 4-lane order, so
-// scores are a pure function of (columns, kernel.batch_traces) -- same
-// contract as CpaEngine.
+// Columns are stored shifted by their first trace (doubles). Guesses
+// are scored in tiles through lanes4_hyp_fold (cpa_kernel.h), which
+// evaluates each column's closed model kind and folds it block-batched
+// in the kernel's 4-lane order, so scores are a pure function of
+// (columns, kernel.batch_traces) at any dispatch kind -- same contract
+// as CpaEngine.
 class StreamingScan {
  public:
-  // samples: column-major: samples[col][trace].
-  explicit StreamingScan(std::vector<std::vector<float>> sample_columns,
-                         CpaKernelConfig kernel = {});
+  // One scored column: D samples, the known operands of the same D
+  // traces, and the model that predicts the samples from a guess.
+  struct Column {
+    std::span<const float> samples;
+    const KnownLanes* known = nullptr;  // not owned; must outlive the scan
+    HypModel model;
+  };
+  // Throws std::invalid_argument unless every column has the same
+  // number of samples and at least as many known operands.
+  explicit StreamingScan(const std::vector<Column>& columns, CpaKernelConfig kernel = {});
 
   // Shard top_k/top_k_list over `shards` contiguous guess chunks run
   // through `pool` (exec::static_chunks plan; nullptr = inline). Every
   // guess's score is computed independently of every other guess, so
   // sharding is EXACTLY invariant -- not just plan-deterministic: the
   // result is byte-identical to the serial scan at ANY shard count and
-  // ANY worker count. The model function must be safe to call from
-  // multiple threads (the leakage models are pure functions).
+  // ANY worker count.
   void set_parallelism(std::size_t shards, exec::ThreadPool* pool) {
     shards_ = shards == 0 ? 1 : shards;
     pool_ = pool;
@@ -93,136 +103,32 @@ class StreamingScan {
     std::uint32_t guess;
     double score;
   };
-  // model(guess, trace, col) -> predicted leakage. Returns the keep
-  // highest-scoring guesses in descending order.
-  template <typename ModelFn>
+  // The keep highest-scoring guesses of [guess_begin, guess_end) or of
+  // the list, in descending order.
   [[nodiscard]] std::vector<Scored> top_k(std::uint64_t guess_begin, std::uint64_t guess_end,
-                                          ModelFn&& model, std::size_t keep) const;
-  template <typename ModelFn>
+                                          std::size_t keep) const;
   [[nodiscard]] std::vector<Scored> top_k_list(std::span<const std::uint32_t> guesses,
-                                               ModelFn&& model, std::size_t keep) const;
+                                               std::size_t keep) const;
 
   // Correlation of a single guess (diagnostics).
-  template <typename ModelFn>
-  [[nodiscard]] double score_one(std::uint32_t guess, ModelFn&& model) const;
+  [[nodiscard]] double score_one(std::uint32_t guess) const;
 
   [[nodiscard]] std::size_t num_traces() const { return d_; }
 
  private:
-  template <typename ModelFn, typename GuessAt>
-  [[nodiscard]] std::vector<Scored> top_k_impl(std::uint64_t count, GuessAt&& guess_at,
-                                               ModelFn&& model, std::size_t keep) const;
+  // Scores guess i = list.empty() ? first + i : list[i] for i < count.
+  [[nodiscard]] std::vector<Scored> scan(std::uint64_t count, std::uint64_t first,
+                                         std::span<const std::uint32_t> list,
+                                         std::size_t keep) const;
 
   CpaKernelConfig kernel_;
   std::vector<std::vector<double>> cols_;   // shifted by the first trace
   std::vector<double> col_sum_, col_var_;   // shifted sums / dn*var forms
-  std::size_t d_;
+  std::vector<const KnownLanes*> known_;
+  std::vector<HypModel> models_;
+  std::size_t d_ = 0;
   std::size_t shards_ = 1;                  // guess-chunk count for top_k
   exec::ThreadPool* pool_ = nullptr;        // not owned; nullptr = inline
 };
-
-// ---- template implementations ------------------------------------------
-
-template <typename ModelFn, typename GuessAt>
-std::vector<StreamingScan::Scored> StreamingScan::top_k_impl(std::uint64_t count,
-                                                             GuessAt&& guess_at,
-                                                             ModelFn&& model,
-                                                             std::size_t keep) const {
-  const double dn = static_cast<double>(d_);
-  const std::size_t bsz = kernel_.batch_traces == 0 ? 1 : kernel_.batch_traces;
-  // The serial scorer over one guess range, with its own block buffer
-  // and keep-list. The keep-list holds the range's top `keep` under the
-  // total order (score descending, arrival ascending): the sorted
-  // insert walks past every equal-or-better score, so an equal-scoring
-  // later guess ranks after the earlier one, and pop_back evicts the
-  // worst under that same order.
-  const auto scan_range = [&](std::uint64_t begin, std::uint64_t end) {
-    std::vector<Scored> best;
-    best.reserve(keep + 1);
-    std::vector<double> hblk(bsz);
-    for (std::uint64_t gi = begin; gi < end; ++gi) {
-      const std::uint32_t guess = guess_at(gi);
-      double score_sum = 0.0;
-      for (std::size_t c = 0; c < cols_.size(); ++c) {
-        double sh = 0.0;
-        double sh2 = 0.0;
-        double sht = 0.0;
-        if (d_ > 0) {
-          // Shift hypotheses by the first trace's prediction, mirroring
-          // the column shift: the one-pass moment forms below then stay
-          // cancellation-safe under arbitrary DC offsets.
-          const double h0 = model(guess, 0, c);
-          const double* col = cols_[c].data();
-          for (std::size_t t0 = 0; t0 < d_; t0 += bsz) {
-            const std::size_t n = std::min(bsz, d_ - t0);
-            for (std::size_t b = 0; b < n; ++b) hblk[b] = model(guess, t0 + b, c) - h0;
-            const HFold f = lanes4_fold_h(hblk.data(), col + t0, n);
-            sh += f.sh;
-            sh2 += f.sh2;
-            sht += f.sht;
-          }
-        }
-        const double var_h = dn * sh2 - sh * sh;
-        const double cov = dn * sht - sh * col_sum_[c];
-        const double denom = var_h * col_var_[c];
-        score_sum += denom > 0.0 ? cov / std::sqrt(denom) : 0.0;
-      }
-      const double score = score_sum / static_cast<double>(cols_.size());
-      if (best.size() < keep || score > best.back().score) {
-        // Insert in sorted (descending) order.
-        auto it = best.begin();
-        while (it != best.end() && it->score >= score) ++it;
-        best.insert(it, {guess, score});
-        if (best.size() > keep) best.pop_back();
-      }
-    }
-    return best;
-  };
-  if (shards_ <= 1 || count < 2) return scan_range(0, count);
-
-  // Sharded scan: per-guess scores are independent of one another, so
-  // each chunk's keep-list is EXACTLY what the serial scan would have
-  // kept from that range. Concatenating the lists in chunk-index order
-  // keeps equal scores in arrival order (within a chunk by the insert
-  // rule; across chunks because ranges are ascending), so the stable
-  // sort below reproduces the serial result byte for byte at any shard
-  // or worker count.
-  const auto plan = exec::static_chunks(static_cast<std::size_t>(count), shards_);
-  const auto parts = exec::parallel_map<std::vector<Scored>>(
-      pool_, plan.size(),
-      [&](std::size_t c) { return scan_range(plan[c].begin, plan[c].end); });
-  std::vector<Scored> all;
-  for (const auto& p : parts) all.insert(all.end(), p.begin(), p.end());
-  std::stable_sort(all.begin(), all.end(),
-                   [](const Scored& a, const Scored& b) { return a.score > b.score; });
-  if (all.size() > keep) all.resize(keep);
-  return all;
-}
-
-template <typename ModelFn>
-std::vector<StreamingScan::Scored> StreamingScan::top_k(std::uint64_t guess_begin,
-                                                        std::uint64_t guess_end,
-                                                        ModelFn&& model,
-                                                        std::size_t keep) const {
-  return top_k_impl(
-      guess_end - guess_begin,
-      [guess_begin](std::uint64_t i) { return static_cast<std::uint32_t>(guess_begin + i); },
-      std::forward<ModelFn>(model), keep);
-}
-
-template <typename ModelFn>
-std::vector<StreamingScan::Scored> StreamingScan::top_k_list(
-    std::span<const std::uint32_t> guesses, ModelFn&& model, std::size_t keep) const {
-  return top_k_impl(
-      guesses.size(), [guesses](std::uint64_t i) { return guesses[i]; },
-      std::forward<ModelFn>(model), keep);
-}
-
-template <typename ModelFn>
-double StreamingScan::score_one(std::uint32_t guess, ModelFn&& model) const {
-  const std::uint32_t list[1] = {guess};
-  const auto r = top_k_list(list, std::forward<ModelFn>(model), 1);
-  return r.empty() ? 0.0 : r[0].score;
-}
 
 }  // namespace fd::attack

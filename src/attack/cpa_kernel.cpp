@@ -1,5 +1,6 @@
 #include "attack/cpa_kernel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cmath>
@@ -193,6 +194,82 @@ void scalar_fold_s1(const double* hs, std::size_t guesses, std::size_t n, const 
     sh2[g] += (lq[0] + lq[1]) + (lq[2] + lq[3]);
     sht[g] += (ld[0] + ld[1]) + (ld[2] + ld[3]);
   }
+}
+
+// --- hypothesis tiles --------------------------------------------------------
+//
+// The tile program every model kind can run at every dispatch kind: per
+// block of the batch, evaluate a guess x block tile of shifted
+// hypotheses, then fold it with the dispatch's fold_h_rows -- one lanes4
+// fold per guess row, added to that guess's running block sum. Only the
+// evaluator (which popcount) and the row fold (which registers) vary by
+// dispatch kind; neither can change a bit.
+
+// tile[r * stride + b] = h(guesses[r], t0 + b) - h0[r], with h0 == nullptr
+// meaning no shift. K is a template argument so the kind switch folds
+// away and the trace loop holds one model's arithmetic.
+template <HypKind K>
+inline void fill_tile(std::uint32_t x0, const KnownLanes& k, const std::uint32_t* guesses,
+                      std::size_t rows, std::size_t t0, std::size_t n, const double* h0,
+                      double* tile, std::size_t stride) {
+  const HypModel m{K, x0};
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint32_t g = guesses[r];
+    const double base = h0 != nullptr ? h0[r] : 0.0;
+    double* row = tile + r * stride;
+    for (std::size_t b = 0; b < n; ++b) row[b] = hyp_model(m, g, k[t0 + b]) - base;
+  }
+}
+
+// The reference evaluator: hypothesis.h as written (std::popcount, which
+// without a popcnt-enabled target is a libgcc call).
+void scalar_eval_tile(const HypModel& m, const KnownLanes& k, const std::uint32_t* guesses,
+                      std::size_t rows, std::size_t t0, std::size_t n, const double* h0,
+                      double* tile, std::size_t stride) {
+  switch (m.kind) {
+    case HypKind::kSign:
+      return fill_tile<HypKind::kSign>(m.x0, k, guesses, rows, t0, n, h0, tile, stride);
+    case HypKind::kExpSum:
+      return fill_tile<HypKind::kExpSum>(m.x0, k, guesses, rows, t0, n, h0, tile, stride);
+    case HypKind::kMulY0:
+      return fill_tile<HypKind::kMulY0>(m.x0, k, guesses, rows, t0, n, h0, tile, stride);
+    case HypKind::kMulY1:
+      return fill_tile<HypKind::kMulY1>(m.x0, k, guesses, rows, t0, n, h0, tile, stride);
+    case HypKind::kAccZ1a:
+      return fill_tile<HypKind::kAccZ1a>(m.x0, k, guesses, rows, t0, n, h0, tile, stride);
+    case HypKind::kAccZ1b:
+      return fill_tile<HypKind::kAccZ1b>(m.x0, k, guesses, rows, t0, n, h0, tile, stride);
+    case HypKind::kAccZu:
+      return fill_tile<HypKind::kAccZu>(m.x0, k, guesses, rows, t0, n, h0, tile, stride);
+  }
+}
+
+using EvalTileFn = void (*)(const HypModel&, const KnownLanes&, const std::uint32_t*,
+                            std::size_t, std::size_t, std::size_t, const double*, double*,
+                            std::size_t);
+using FoldRowsFn = void (*)(const double*, std::size_t, std::size_t, const double*,
+                            std::size_t, double*, double*, double*, std::size_t);
+
+void tile_hyp_fold(EvalTileFn eval, FoldRowsFn fold_rows, const HypColumn& col,
+                   std::size_t batch, const std::uint32_t* guesses, std::size_t count,
+                   double* sh, double* sh2, double* sht) {
+  std::fill_n(sh, count, 0.0);
+  std::fill_n(sh2, count, 0.0);
+  std::fill_n(sht, count, 0.0);
+  if (col.traces == 0 || count == 0) return;
+  std::vector<double> h0(count);
+  eval(col.model, *col.known, guesses, count, 0, 1, nullptr, h0.data(), 1);
+  std::vector<double> tile(count * batch);
+  for (std::size_t t0 = 0; t0 < col.traces; t0 += batch) {
+    const std::size_t n = std::min(batch, col.traces - t0);
+    eval(col.model, *col.known, guesses, count, t0, n, h0.data(), tile.data(), batch);
+    fold_rows(tile.data(), batch, count, col.t + t0, n, sh, sh2, sht, 1);
+  }
+}
+
+void scalar_hyp_fold(const HypColumn& col, std::size_t batch, const std::uint32_t* guesses,
+                     std::size_t count, double* sh, double* sh2, double* sht) {
+  tile_hyp_fold(scalar_eval_tile, scalar_fold_h_rows, col, batch, guesses, count, sh, sh2, sht);
 }
 
 #if defined(FD_CPA_HAVE_AVX2)
@@ -539,6 +616,132 @@ __attribute__((target("avx2"))) void avx2_transpose(const double* src, std::size
   }
 }
 
+// --- AVX2 hypothesis tiles ---------------------------------------------------
+//
+// These also need popcnt (ops_for checks both). The partial-product kinds
+// run fused: 4 traces per register, the product by vpmuludq (both
+// operands fit in 32 bits, so the 64-bit product is exact), the popcount
+// by a vpshufb nibble table summed per lane by vpsadbw, and the exact
+// int -> double by the 2^52 trick. The lanes4 fold then happens in the
+// same registers -- the register IS lanes l0..l3 of the block -- and the
+// block tail and combine are the scalar reference's. Every other kind
+// fills a tile with hardware popcnt and folds it with avx2_fold_h_rows.
+
+__attribute__((target("avx2"))) inline __m256i avx2_popcnt_epi64(__m256i v) {
+  const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,  //
+                                       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i low4 = _mm256_set1_epi8(0x0F);
+  const __m256i lo = _mm256_and_si256(v, low4);
+  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low4);
+  const __m256i bytes =
+      _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
+  return _mm256_sad_epu8(bytes, _mm256_setzero_si256());
+}
+
+// The 2^52 trick, fused with the h0 shift: for a count c <= 64 and
+// h0 <= 64, the double with bits (2^52's bits + 64 - h0 + c) is exactly
+// 2^52 + 64 + c - h0, and subtracting 2^52 + 64 leaves c - h0 exactly --
+// the same double as (double)c - h0. One integer add replaces the OR
+// and the FP subtract of h0.
+constexpr std::int64_t kTwo52Bits = 0x4330000000000000LL;
+constexpr double kTwo52Plus64 = 4503599627370496.0 + 64.0;
+
+// G guesses against one operand lane y: per guess and block, the
+// avx2_fold_h program over h = HW(guess * y[t]) - HW(guess * y[0]).
+template <std::size_t G>
+__attribute__((target("avx2,popcnt"))) void avx2_mul_fold(const std::uint32_t* y,
+                                                          const double* t, std::size_t traces,
+                                                          std::size_t batch,
+                                                          const std::uint32_t* guesses,
+                                                          double* sh, double* sh2,
+                                                          double* sht) {
+  std::uint64_t g64[G];
+  double h0[G];
+  __m256i gv[G], bias[G];
+  double s[G], q[G], d[G];
+  const __m256d unbias = _mm256_set1_pd(kTwo52Plus64);
+  for (std::size_t k = 0; k < G; ++k) {
+    g64[k] = guesses[k];
+    const int c0 = __builtin_popcountll(g64[k] * y[0]);
+    h0[k] = static_cast<double>(c0);
+    gv[k] = _mm256_set1_epi64x(static_cast<long long>(g64[k]));
+    bias[k] = _mm256_set1_epi64x(kTwo52Bits + 64 - c0);
+    s[k] = q[k] = d[k] = 0.0;
+  }
+  for (std::size_t t0 = 0; t0 < traces; t0 += batch) {
+    const std::size_t n = std::min(batch, traces - t0);
+    const std::uint32_t* yb = y + t0;
+    const double* tb = t + t0;
+    __m256d vs[G], vq[G], vd[G];
+    for (std::size_t k = 0; k < G; ++k) vs[k] = vq[k] = vd[k] = _mm256_setzero_pd();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      const __m256i yv =
+          _mm256_cvtepu32_epi64(_mm_loadu_si128(reinterpret_cast<const __m128i*>(yb + i)));
+      const __m256d tv = _mm256_loadu_pd(tb + i);
+#pragma GCC unroll 4
+      for (std::size_t k = 0; k < G; ++k) {
+        const __m256i c = avx2_popcnt_epi64(_mm256_mul_epu32(gv[k], yv));
+        const __m256d hv =
+            _mm256_sub_pd(_mm256_castsi256_pd(_mm256_add_epi64(c, bias[k])), unbias);
+        vs[k] = _mm256_add_pd(vs[k], hv);
+        vq[k] = _mm256_add_pd(vq[k], _mm256_mul_pd(hv, hv));
+        vd[k] = _mm256_add_pd(vd[k], _mm256_mul_pd(hv, tv));
+      }
+    }
+    for (std::size_t k = 0; k < G; ++k) {
+      alignas(32) double ls[4], lq[4], ld[4];
+      _mm256_store_pd(ls, vs[k]);
+      _mm256_store_pd(lq, vq[k]);
+      _mm256_store_pd(ld, vd[k]);
+      // Block tail: traces i.. top up lanes 0..2 in order.
+      for (std::size_t j = 0; i + j < n; ++j) {
+        const double h = static_cast<double>(__builtin_popcountll(g64[k] * yb[i + j])) - h0[k];
+        ls[j] += h;
+        lq[j] += h * h;
+        ld[j] += h * tb[i + j];
+      }
+      s[k] += (ls[0] + ls[1]) + (ls[2] + ls[3]);
+      q[k] += (lq[0] + lq[1]) + (lq[2] + lq[3]);
+      d[k] += (ld[0] + ld[1]) + (ld[2] + ld[3]);
+    }
+  }
+  for (std::size_t k = 0; k < G; ++k) {
+    sh[k] = s[k];
+    sh2[k] = q[k];
+    sht[k] = d[k];
+  }
+}
+
+// The reference evaluator compiled once more with hardware popcnt:
+// flatten inlines it, every model and std::popcount inside them into
+// this popcnt target.
+__attribute__((target("popcnt"), flatten)) void popcnt_eval_tile(
+    const HypModel& m, const KnownLanes& k, const std::uint32_t* guesses, std::size_t rows,
+    std::size_t t0, std::size_t n, const double* h0, double* tile, std::size_t stride) {
+  scalar_eval_tile(m, k, guesses, rows, t0, n, h0, tile, stride);
+}
+
+__attribute__((target("avx2,popcnt"))) void avx2_hyp_fold(const HypColumn& col,
+                                                          std::size_t batch,
+                                                          const std::uint32_t* guesses,
+                                                          std::size_t count, double* sh,
+                                                          double* sh2, double* sht) {
+  const HypKind kind = col.model.kind;
+  if ((kind != HypKind::kMulY0 && kind != HypKind::kMulY1) || col.traces == 0) {
+    tile_hyp_fold(popcnt_eval_tile, avx2_fold_h_rows, col, batch, guesses, count, sh, sh2, sht);
+    return;
+  }
+  const std::uint32_t* y = (kind == HypKind::kMulY0 ? col.known->y0 : col.known->y1).data();
+  std::size_t g = 0;
+  for (; g + 2 <= count; g += 2) {
+    avx2_mul_fold<2>(y, col.t, col.traces, batch, guesses + g, sh + g, sh2 + g, sht + g);
+  }
+  if (g < count) {
+    avx2_mul_fold<1>(y, col.t, col.traces, batch, guesses + g, sh + g, sh2 + g, sht + g);
+  }
+}
+
 #endif  // FD_CPA_HAVE_AVX2
 
 #if defined(FD_CPA_HAVE_NEON)
@@ -688,6 +891,12 @@ void neon_fold_h_rows(const double* h, std::size_t h_stride, std::size_t rows, c
   }
 }
 
+// The reference evaluator feeding the NEON row fold.
+void neon_hyp_fold(const HypColumn& col, std::size_t batch, const std::uint32_t* guesses,
+                   std::size_t count, double* sh, double* sh2, double* sht) {
+  tile_hyp_fold(scalar_eval_tile, neon_fold_h_rows, col, batch, guesses, count, sh, sh2, sht);
+}
+
 #endif  // FD_CPA_HAVE_NEON
 
 struct LanesOps {
@@ -705,23 +914,29 @@ struct LanesOps {
   void (*fold_s1)(const double*, std::size_t, std::size_t, const double*, double*, double*,
                   double*);
   void (*transpose)(const double*, std::size_t, std::size_t, double*, std::size_t);
+  // Fused hypothesis evaluation + fold (see lanes4_hyp_fold).
+  void (*hyp_fold)(const HypColumn&, std::size_t, const std::uint32_t*, std::size_t, double*,
+                   double*, double*);
   CpaSimd kind;
 };
 
-constexpr LanesOps kScalarOps = {scalar_sum,     scalar_sumsq,       scalar_dot,
-                                 scalar_fold_h,  scalar_dot_cols,    scalar_fold_h_rows,
-                                 scalar_fold_s1, scalar_transpose,   CpaSimd::kScalar};
+constexpr LanesOps kScalarOps = {scalar_sum,       scalar_sumsq,     scalar_dot,
+                                 scalar_fold_h,    scalar_dot_cols,  scalar_fold_h_rows,
+                                 scalar_fold_s1,   scalar_transpose, scalar_hyp_fold,
+                                 CpaSimd::kScalar};
 #if defined(FD_CPA_HAVE_AVX2)
-constexpr LanesOps kAvx2Ops = {avx2_sum,     avx2_sumsq,       avx2_dot,
-                               avx2_fold_h,  avx2_dot_cols,    avx2_fold_h_rows,
-                               avx2_fold_s1, avx2_transpose,   CpaSimd::kAvx2};
+constexpr LanesOps kAvx2Ops = {avx2_sum,      avx2_sumsq,     avx2_dot,
+                               avx2_fold_h,   avx2_dot_cols,  avx2_fold_h_rows,
+                               avx2_fold_s1,  avx2_transpose, avx2_hyp_fold,
+                               CpaSimd::kAvx2};
 #endif
 #if defined(FD_CPA_HAVE_NEON)
 // fold_s1 has no NEON body yet; the scalar one runs the identical lane
 // program, so pointing at it changes speed, never bits.
 constexpr LanesOps kNeonOps = {neon_sum,       neon_sumsq,       neon_dot,
                                neon_fold_h,    neon_dot_cols,    neon_fold_h_rows,
-                               scalar_fold_s1, scalar_transpose, CpaSimd::kNeon};
+                               scalar_fold_s1, scalar_transpose, neon_hyp_fold,
+                               CpaSimd::kNeon};
 #endif
 
 const LanesOps* ops_for(CpaSimd kind) {
@@ -730,7 +945,7 @@ const LanesOps* ops_for(CpaSimd kind) {
       return &kScalarOps;
     case CpaSimd::kAvx2:
 #if defined(FD_CPA_HAVE_AVX2)
-      if (__builtin_cpu_supports("avx2")) return &kAvx2Ops;
+      if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")) return &kAvx2Ops;
 #endif
       return nullptr;
     case CpaSimd::kNeon:
@@ -806,6 +1021,10 @@ double lanes4_dot(const double* a, const double* b, std::size_t n) {
 }
 HFold lanes4_fold_h(const double* h, const double* t, std::size_t n) {
   return active_ops().fold_h(h, t, n);
+}
+void lanes4_hyp_fold(const HypColumn& col, std::size_t batch, const std::uint32_t* guesses,
+                     std::size_t count, double* sh, double* sh2, double* sht) {
+  active_ops().hyp_fold(col, batch == 0 ? 1 : batch, guesses, count, sh, sh2, sht);
 }
 
 // --- CpaSums ---------------------------------------------------------------

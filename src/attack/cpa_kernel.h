@@ -42,6 +42,8 @@
 #include <span>
 #include <vector>
 
+#include "attack/hypothesis.h"
+
 namespace fd::attack {
 
 inline constexpr std::size_t kDefaultCpaBatch = 64;
@@ -66,6 +68,29 @@ struct HFold {
 };
 [[nodiscard]] HFold lanes4_fold_h(const double* h, const double* t, std::size_t n);
 
+// --- fused hypothesis tiles ------------------------------------------------
+//
+// The extend-and-prune scan's inner loop. For each of `count` guesses,
+// evaluate the column's model on every trace and fold the shifted
+// hypothesis h(g, t) - h(g, 0) against the column's shifted samples
+// (the shift mirrors the column's, keeping the one-pass moment forms
+// cancellation-safe under any DC offset) in blocks of `batch` traces:
+// each block is one lanes4_fold_h over the block, and the block results
+// are summed in block order into sh[i], sh2[i], sht[i] (overwritten, not
+// accumulated). That is exactly the program of a per-guess loop over a
+// materialised hypothesis buffer, and since every hypothesis is an
+// integer <= 64, h - h0 is exact in double: no evaluator (libgcc
+// popcount, hardware popcnt, a SIMD nibble table) can change a bit of
+// any sum.
+struct HypColumn {
+  HypModel model;
+  const KnownLanes* known = nullptr;  // >= traces operands
+  const double* t = nullptr;          // traces shifted samples
+  std::size_t traces = 0;
+};
+void lanes4_hyp_fold(const HypColumn& col, std::size_t batch, const std::uint32_t* guesses,
+                     std::size_t count, double* sh, double* sh2, double* sht);
+
 // --- runtime SIMD dispatch -------------------------------------------------
 //
 // lanes4_* dispatch at runtime to the widest implementation whose
@@ -75,8 +100,10 @@ struct HFold {
 // (l0+l1)+(l2+l3) combine, explicit mul-then-add intrinsics -- and the
 // avx2 target does not enable the FMA ISA, so contraction into a fused
 // multiply-add is structurally impossible, not merely disabled by a
-// flag). On aarch64 a NEON path splits the lanes across two 2-double
-// registers the same way. The choice is resolved once, on first use,
+// flag). The AVX2 kind also evaluates hypotheses with hardware popcount,
+// so it is only selected when the CPU reports popcnt as well. On
+// aarch64 a NEON path splits the lanes across two 2-double registers the
+// same way. The choice is resolved once, on first use,
 // from the FD_CPA_KERNEL environment variable ("scalar", "avx2",
 // "neon") followed by CPU detection; an unavailable or unknown request
 // falls back to auto-detection.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <set>
 
 #include "common/rng.h"
@@ -79,39 +80,46 @@ std::vector<std::uint32_t> MantissaCandidates::adversarial(std::uint32_t truth, 
 
 namespace {
 
-PhaseOutcome run_scan(const ComponentDataset& ds, std::span<const std::size_t> offsets,
+// One scored sample offset and the model that predicts it.
+struct OffsetModel {
+  std::size_t offset;
+  HypModel model;
+};
+
+PhaseOutcome run_scan(const ComponentDataset& ds, std::span<const OffsetModel> offsets,
                       std::span<const std::uint32_t> candidates, std::size_t keep,
                       const CpaKernelConfig& kernel, std::size_t shards,
-                      exec::ThreadPool* pool, auto&& model_for_offset) {
-  // Build one column per (view, offset) pair.
-  std::vector<std::vector<float>> cols;
-  std::vector<std::pair<unsigned, std::size_t>> col_meta;  // (view, offset)
+                      exec::ThreadPool* pool, PhaseCost* cost = nullptr) {
+  const auto start = std::chrono::steady_clock::now();
+  // One column per (view, offset) pair.
+  std::vector<StreamingScan::Column> cols;
   for (unsigned v = 0; v < 2; ++v) {
-    for (const std::size_t off : offsets) {
-      cols.push_back(ds.views[v].samples[off]);
-      col_meta.emplace_back(v, off);
+    for (const OffsetModel& om : offsets) {
+      cols.push_back({ds.views[v].samples[om.offset], &ds.views[v].known, om.model});
     }
   }
-  StreamingScan scan(std::move(cols), kernel);
+  StreamingScan scan(cols, kernel);
   scan.set_parallelism(shards, pool);
-  auto model = [&](std::uint32_t guess, std::size_t t, std::size_t c) {
-    const auto [view, off] = col_meta[c];
-    return model_for_offset(guess, ds.views[view].known[t], off);
-  };
   PhaseOutcome out;
-  out.top = scan.top_k_list(candidates, model, keep);
+  out.top = scan.top_k_list(candidates, keep);
   if (!out.top.empty()) {
     out.value = out.top[0].guess;
     out.score = out.top[0].score;
   }
+  if (cost != nullptr) {
+    cost->scan_us =
+        std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
+            .count();
+    cost->guess_traces = static_cast<std::uint64_t>(candidates.size()) * ds.num_traces *
+                         cols.size();
+  }
   return out;
 }
 
-// One "ep.phase" event per pipeline stage: how many candidates went in,
-// how many survived the keep cut, and the winner. The kept/pruned split
-// also feeds the global attack.ep.* counters.
+}  // namespace
+
 void note_phase(const ComponentAttackConfig& config, std::string_view phase,
-                std::size_t candidates_in, const PhaseOutcome& out) {
+                std::size_t candidates_in, const PhaseOutcome& out, const PhaseCost& cost) {
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("attack.ep.candidates").add(candidates_in);
   reg.counter("attack.ep.pruned").add(candidates_in - out.top.size());
@@ -123,10 +131,10 @@ void note_phase(const ComponentAttackConfig& config, std::string_view phase,
       .with("kept", out.top.size())
       .with("value", out.value)
       .with("score", out.score)
+      .with("scan_us", cost.scan_us)
+      .with("guess_traces", cost.guess_traces)
       .emit();
 }
-
-}  // namespace
 
 LinearCalibration calibrate_device(const ComponentDataset& ds) {
   // Regress trace samples against the Hamming weights of events whose
@@ -171,11 +179,9 @@ std::uint64_t assemble_bits(bool sign, unsigned exponent, std::uint32_t x1, std:
 
 PhaseOutcome attack_low_mul_only(const ComponentDataset& ds,
                                  std::span<const std::uint32_t> candidates, std::size_t keep) {
-  const std::size_t offsets[] = {ww::kOffProdLL, ww::kOffProdLH};
-  return run_scan(ds, offsets, candidates, keep, CpaKernelConfig{}, 1, nullptr,
-                  [](std::uint32_t g, const KnownOperand& k, std::size_t off) {
-                    return off == ww::kOffProdLL ? hyp_low_mul_ll(g, k) : hyp_low_mul_lh(g, k);
-                  });
+  const OffsetModel offsets[] = {{ww::kOffProdLL, {HypKind::kMulY0}},
+                                 {ww::kOffProdLH, {HypKind::kMulY1}}};
+  return run_scan(ds, offsets, candidates, keep, CpaKernelConfig{}, 1, nullptr);
 }
 
 ComponentResult attack_component(const ComponentDataset& ds,
@@ -189,30 +195,26 @@ ComponentResult attack_component(const ComponentDataset& ds,
 
   // 1. Sign: two guesses on the XOR event.
   {
-    const std::size_t offsets[] = {ww::kOffSign};
+    const OffsetModel offsets[] = {{ww::kOffSign, {HypKind::kSign}}};
     const std::uint32_t guesses[] = {0, 1};
+    PhaseCost cost;
     res.sign_phase = run_scan(ds, offsets, guesses, 2, config.kernel, config.cpa_shards,
-                              config.scan_pool,
-                              [](std::uint32_t g, const KnownOperand& k, std::size_t) {
-                                return hyp_sign(g != 0, k);
-                              });
+                              config.scan_pool, &cost);
     res.sign = res.sign_phase.value != 0;
-    note_phase(config, "sign", 2, res.sign_phase);
+    note_phase(config, "sign", 2, res.sign_phase, cost);
   }
 
   // 2. Exponent: enumeration of the plausible window on the
   // exponent-sum addition, then alias-tie resolution by the magnitude
   // prior (see ComponentAttackConfig::exp_min).
   {
-    const std::size_t offsets[] = {ww::kOffExpSum};
+    const OffsetModel offsets[] = {{ww::kOffExpSum, {HypKind::kExpSum}}};
     std::vector<std::uint32_t> guesses;
     guesses.reserve(config.exp_max - config.exp_min + 1);
     for (std::uint32_t e = config.exp_min; e <= config.exp_max; ++e) guesses.push_back(e);
+    PhaseCost cost;
     res.exp_phase = run_scan(ds, offsets, guesses, guesses.size(), config.kernel,
-                             config.cpa_shards, config.scan_pool,
-                             [](std::uint32_t g, const KnownOperand& k, std::size_t) {
-                               return hyp_exponent(g, k);
-                             });
+                             config.cpa_shards, config.scan_pool, &cost);
     // Keep only the tie class, then prefer the guess nearest the prior.
     const double eps =
         config.exp_tie_epsilon >= 0.0
@@ -268,7 +270,7 @@ ComponentResult attack_component(const ComponentDataset& ds,
     res.exp_phase.top = std::move(ties);
     res.exp_phase.value = pick;
     res.exponent = pick;
-    note_phase(config, "exponent", guesses.size(), res.exp_phase);
+    note_phase(config, "exponent", guesses.size(), res.exp_phase, cost);
   }
 
   // 3. Mantissa low half: extend on the partial products...
@@ -282,27 +284,22 @@ ComponentResult attack_component(const ComponentDataset& ds,
     } else {
       cands = config.low_candidates;
     }
-    const std::size_t mul_offsets[] = {ww::kOffProdLL, ww::kOffProdLH};
-    res.low_extend =
-        run_scan(ds, mul_offsets, cands, config.extend_top_k, config.kernel,
-                 config.cpa_shards, config.scan_pool,
-                 [](std::uint32_t g, const KnownOperand& k, std::size_t off) {
-                   return off == ww::kOffProdLL ? hyp_low_mul_ll(g, k) : hyp_low_mul_lh(g, k);
-                 });
-    note_phase(config, "low_extend", cands.size(), res.low_extend);
+    const OffsetModel mul_offsets[] = {{ww::kOffProdLL, {HypKind::kMulY0}},
+                                       {ww::kOffProdLH, {HypKind::kMulY1}}};
+    PhaseCost cost;
+    res.low_extend = run_scan(ds, mul_offsets, cands, config.extend_top_k, config.kernel,
+                              config.cpa_shards, config.scan_pool, &cost);
+    note_phase(config, "low_extend", cands.size(), res.low_extend, cost);
 
     // ...prune on the z1a addition over the surviving top-K.
     std::vector<std::uint32_t> survivors;
     survivors.reserve(res.low_extend.top.size());
     for (const auto& s : res.low_extend.top) survivors.push_back(s.guess);
-    const std::size_t add_offsets[] = {ww::kOffAccZ1a};
+    const OffsetModel add_offsets[] = {{ww::kOffAccZ1a, {HypKind::kAccZ1a}}};
     res.low_prune = run_scan(ds, add_offsets, survivors, survivors.size(), config.kernel,
-                             config.cpa_shards, config.scan_pool,
-                             [](std::uint32_t g, const KnownOperand& k, std::size_t) {
-                               return hyp_low_add_z1a(g, k);
-                             });
+                             config.cpa_shards, config.scan_pool, &cost);
     res.x0 = res.low_prune.value;
-    note_phase(config, "low_prune", survivors.size(), res.low_prune);
+    note_phase(config, "low_prune", survivors.size(), res.low_prune, cost);
   }
 
   // 4. Mantissa high half: same extend-and-prune with the recovered x0.
@@ -316,28 +313,22 @@ ComponentResult attack_component(const ComponentDataset& ds,
     } else {
       cands = config.high_candidates;
     }
-    const std::size_t mul_offsets[] = {ww::kOffProdHL, ww::kOffProdHH};
-    res.high_extend =
-        run_scan(ds, mul_offsets, cands, config.extend_top_k, config.kernel,
-                 config.cpa_shards, config.scan_pool,
-                 [](std::uint32_t g, const KnownOperand& k, std::size_t off) {
-                   return off == ww::kOffProdHL ? hyp_high_mul_hl(g, k) : hyp_high_mul_hh(g, k);
-                 });
-    note_phase(config, "high_extend", cands.size(), res.high_extend);
+    const OffsetModel mul_offsets[] = {{ww::kOffProdHL, {HypKind::kMulY0}},
+                                       {ww::kOffProdHH, {HypKind::kMulY1}}};
+    PhaseCost cost;
+    res.high_extend = run_scan(ds, mul_offsets, cands, config.extend_top_k, config.kernel,
+                               config.cpa_shards, config.scan_pool, &cost);
+    note_phase(config, "high_extend", cands.size(), res.high_extend, cost);
 
     std::vector<std::uint32_t> survivors;
     survivors.reserve(res.high_extend.top.size());
     for (const auto& s : res.high_extend.top) survivors.push_back(s.guess);
-    const std::size_t add_offsets[] = {ww::kOffAccZ1b, ww::kOffAccZu};
-    const std::uint32_t x0 = res.x0;
+    const OffsetModel add_offsets[] = {{ww::kOffAccZ1b, {HypKind::kAccZ1b, res.x0}},
+                                       {ww::kOffAccZu, {HypKind::kAccZu, res.x0}}};
     res.high_prune = run_scan(ds, add_offsets, survivors, survivors.size(), config.kernel,
-                             config.cpa_shards, config.scan_pool,
-                              [x0](std::uint32_t g, const KnownOperand& k, std::size_t off) {
-                                return off == ww::kOffAccZu ? hyp_high_add_zu(g, x0, k)
-                                                            : hyp_high_add_z1b(g, x0, k);
-                              });
+                              config.cpa_shards, config.scan_pool, &cost);
     res.x1 = res.high_prune.value;
-    note_phase(config, "high_prune", survivors.size(), res.high_prune);
+    note_phase(config, "high_prune", survivors.size(), res.high_prune, cost);
   }
 
   res.bits = assemble_bits(res.sign, res.exponent, res.x1, res.x0);

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "attack/cpa.h"
@@ -36,15 +37,18 @@ namespace fd::attack {
 // component.
 struct ComponentDataset {
   struct View {
-    std::vector<KnownOperand> known;           // D entries
+    KnownLanes known;                          // D operands, one lane per field
     std::vector<std::vector<float>> samples;   // 17 columns x D
   };
   View views[2];
   std::size_t num_traces = 0;
 
-  // Column c of view v as a StreamingScan input.
-  [[nodiscard]] std::vector<std::vector<float>> columns(std::size_t offset) const {
-    return {views[0].samples[offset], views[1].samples[offset]};
+  // Sample column `offset` of both views, scored under `model`, as
+  // StreamingScan input (borrows this dataset).
+  [[nodiscard]] std::vector<StreamingScan::Column> columns(std::size_t offset,
+                                                           HypModel model) const {
+    return {{views[0].samples[offset], &views[0].known, model},
+            {views[1].samples[offset], &views[1].known, model}};
   }
 };
 
@@ -164,6 +168,20 @@ struct ComponentResult {
   PhaseOutcome sign_phase, exp_phase;
   PhaseOutcome low_extend, low_prune, high_extend, high_prune;
 };
+
+// What one phase's scan cost: wall time and guess x trace x column
+// evaluations, reported on its "ep.phase" event so a run's telemetry
+// shows per-phase scan throughput.
+struct PhaseCost {
+  double scan_us = 0.0;
+  std::uint64_t guess_traces = 0;
+};
+
+// Emits one "ep.phase" event (when a sink is installed) and feeds the
+// attack.ep.* counters -- shared by every backend so the phase stream
+// looks the same under each.
+void note_phase(const ComponentAttackConfig& config, std::string_view phase,
+                std::size_t candidates_in, const PhaseOutcome& out, const PhaseCost& cost);
 
 // Runs the full extend-and-prune pipeline on one component.
 [[nodiscard]] ComponentResult attack_component(const ComponentDataset& ds,

@@ -9,7 +9,9 @@
 // leaked values bit for bit; only the measurement noise separates them.
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "fpr/fpr.h"
 
@@ -26,6 +28,32 @@ struct KnownOperand {
     const std::uint64_t m = v.significand();
     return {static_cast<std::uint32_t>(m) & fpr::kMantLowMask,
             static_cast<std::uint32_t>(m >> fpr::kMantLowBits), v.biased_exponent(), v.sign()};
+  }
+};
+
+// The known operands of one dataset view, stored once as contiguous
+// per-trace lanes (one vector per field), so the scan kernels stream the
+// field a model reads instead of striding over whole operands.
+// operator[] reassembles trace t's KnownOperand for the per-trace users.
+struct KnownLanes {
+  std::vector<std::uint32_t> y0, y1, exp;
+  std::vector<std::uint8_t> sign;
+
+  void reserve(std::size_t n) {
+    y0.reserve(n);
+    y1.reserve(n);
+    exp.reserve(n);
+    sign.reserve(n);
+  }
+  void push_back(const KnownOperand& k) {
+    y0.push_back(k.y0);
+    y1.push_back(k.y1);
+    exp.push_back(k.exponent);
+    sign.push_back(k.sign ? 1 : 0);
+  }
+  [[nodiscard]] std::size_t size() const { return y0.size(); }
+  [[nodiscard]] KnownOperand operator[](std::size_t t) const {
+    return {y0[t], y1[t], exp[t], sign[t] != 0};
   }
 };
 
@@ -92,6 +120,49 @@ struct KnownOperand {
       (static_cast<std::uint64_t>(k.y1) << fpr::kMantLowBits) | k.y0;
   const std::uint64_t xm = (static_cast<std::uint64_t>(x1) << fpr::kMantLowBits) | x0;
   return std::popcount(static_cast<std::uint64_t>(fpr::mul_mantissa_steps(xm, ym).z1b));
+}
+
+// --- the closed set of scan models ----------------------------------------
+//
+// Every hypothesis the extend-and-prune scan scores is one of these
+// kinds over a column's known-operand lanes, so the scan kernel
+// (cpa_kernel.h) can evaluate a whole guess x trace tile per call
+// instead of calling a model function per (guess, trace, column).
+enum class HypKind : std::uint8_t {
+  kSign,    // hyp_sign(guess != 0, k)
+  kExpSum,  // hyp_exponent(guess, k)
+  kMulY0,   // HW(guess * y0): the x0*y0 and x1*y0 partial products
+  kMulY1,   // HW(guess * y1): the x0*y1 and x1*y1 partial products
+  kAccZ1a,  // hyp_low_add_z1a(guess, k)
+  kAccZ1b,  // hyp_high_add_z1b(guess, x0, k)
+  kAccZu,   // hyp_high_add_zu(guess, x0, k)
+};
+
+struct HypModel {
+  HypKind kind = HypKind::kSign;
+  std::uint32_t x0 = 0;  // recovered low half (kAccZ1b / kAccZu only)
+};
+
+// The reference evaluation of one model on one trace.
+[[nodiscard]] inline double hyp_model(const HypModel& m, std::uint32_t guess,
+                                      const KnownOperand& k) {
+  switch (m.kind) {
+    case HypKind::kSign:
+      return hyp_sign(guess != 0, k);
+    case HypKind::kExpSum:
+      return hyp_exponent(guess, k);
+    case HypKind::kMulY0:
+      return hyp_low_mul_ll(guess, k);
+    case HypKind::kMulY1:
+      return hyp_low_mul_lh(guess, k);
+    case HypKind::kAccZ1a:
+      return hyp_low_add_z1a(guess, k);
+    case HypKind::kAccZ1b:
+      return hyp_high_add_z1b(guess, m.x0, k);
+    case HypKind::kAccZu:
+      return hyp_high_add_zu(guess, m.x0, k);
+  }
+  return 0.0;
 }
 
 }  // namespace fd::attack

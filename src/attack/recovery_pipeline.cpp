@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "attack/checkpoint.h"
+#include "attack/cpa_kernel.h"
 #include "attack/parallel_attack.h"
 #include "common/rng.h"
 #include "exec/retry.h"
@@ -119,6 +120,7 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
   // produces the same replay-stable span ids on every run.
   obs::set_trace_root(exec::mix64(experiment ^ 0x54524143ULL));
   obs::Span span("attack.pipeline", obs::Span::Root::kAdopt);
+  span.note("cpa_kernel", cpa_simd_name(cpa_active_simd()));
   const bool checkpointing = config.checkpoint || config.resume;
   if (checkpointing) out.checkpoint_path = config.archive_path + ".fdckpt";
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <initializer_list>
 #include <vector>
@@ -10,7 +11,6 @@
 #include "common/rng.h"
 #include "falcon/keygen.h"
 #include "distinguisher/template_backend.h"
-#include "obs/metrics.h"
 #include "obs/sink.h"
 #include "obs/span.h"
 #include "sca/campaign.h"
@@ -22,27 +22,10 @@ using attack::ComponentAttackConfig;
 using attack::ComponentDataset;
 using attack::ComponentResult;
 using attack::KnownOperand;
+using attack::note_phase;
 using attack::PhaseOutcome;
 
 namespace {
-
-// Mirrors extend_prune.cpp's note_phase so the "ep.phase" stream and
-// the attack.ep.* counters look the same under every backend.
-void note_phase(const ComponentAttackConfig& config, std::string_view phase,
-                std::size_t candidates_in, const PhaseOutcome& out) {
-  auto& reg = obs::MetricsRegistry::global();
-  reg.counter("attack.ep.candidates").add(candidates_in);
-  reg.counter("attack.ep.pruned").add(candidates_in - out.top.size());
-  if (obs::sink() == nullptr) return;
-  obs::event("ep.phase")
-      .with("label", config.obs_label)
-      .with("phase", phase)
-      .with("candidates_in", candidates_in)
-      .with("kept", out.top.size())
-      .with("value", out.value)
-      .with("score", out.score)
-      .emit();
-}
 
 // Scores `count` guesses over one phase's offset columns through a
 // distinguisher built by make(num_guesses) -- a TemplateDistinguisher or
@@ -184,10 +167,18 @@ ComponentResult staged_attack(const ComponentDataset& ds, const ComponentAttackC
     }
     return o;
   };
+  // The cost of the last run(), for that phase's ep.phase event.
+  attack::PhaseCost cost;
   const auto run = [&](const std::vector<std::size_t>& offs, std::uint64_t count,
                        auto&& guess_at, std::size_t keep, auto&& hyp) {
-    return run_profiled_phase(ds, offs, count, guess_at, keep, hyp,
-                              scorer.phase_maker(offs, config));
+    const auto start = std::chrono::steady_clock::now();
+    PhaseOutcome out = run_profiled_phase(ds, offs, count, guess_at, keep, hyp,
+                                          scorer.phase_maker(offs, config));
+    cost.scan_us =
+        std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
+            .count();
+    cost.guess_traces = count * ds.num_traces * 2 * offs.size();
+    return out;
   };
 
   // 1. Sign.
@@ -199,7 +190,7 @@ ComponentResult staged_attack(const ComponentDataset& ds, const ComponentAttackC
           return attack::hyp_sign(g != 0, k);
         });
     res.sign = res.sign_phase.value != 0;
-    note_phase(config, "sign", 2, res.sign_phase);
+    note_phase(config, "sign", 2, res.sign_phase, cost);
   }
 
   // 2. Exponent: the secret-exponent register load (absolute level)
@@ -220,7 +211,7 @@ ComponentResult staged_attack(const ComponentDataset& ds, const ComponentAttackC
         });
     if (scorer.exp_tiebreak()) resolve_exponent_aliases(ds, config, res.exp_phase);
     res.exponent = res.exp_phase.value;
-    note_phase(config, "exponent", static_cast<std::size_t>(count), res.exp_phase);
+    note_phase(config, "exponent", static_cast<std::size_t>(count), res.exp_phase, cost);
   }
 
   // 3. Mantissa low half: extend on the operand load + partial
@@ -246,7 +237,7 @@ ComponentResult staged_attack(const ComponentDataset& ds, const ComponentAttackC
     };
     res.low_extend = run(filt({ww::kOffXLo, ww::kOffProdLL, ww::kOffProdLH}), count,
                          guess_at, config.extend_top_k, hyp_low);
-    note_phase(config, "low_extend", static_cast<std::size_t>(count), res.low_extend);
+    note_phase(config, "low_extend", static_cast<std::size_t>(count), res.low_extend, cost);
 
     std::vector<std::uint32_t> survivors;
     survivors.reserve(res.low_extend.top.size());
@@ -256,7 +247,7 @@ ComponentResult staged_attack(const ComponentDataset& ds, const ComponentAttackC
         survivors.size(), [&](std::uint64_t i) { return survivors[i]; }, survivors.size(),
         hyp_low);
     res.x0 = res.low_prune.value;
-    note_phase(config, "low_prune", survivors.size(), res.low_prune);
+    note_phase(config, "low_prune", survivors.size(), res.low_prune, cost);
   }
 
   // 4. Mantissa high half: same shape, with the recovered x0.
@@ -285,7 +276,7 @@ ComponentResult staged_attack(const ComponentDataset& ds, const ComponentAttackC
     };
     res.high_extend = run(filt({ww::kOffXHi, ww::kOffProdHL, ww::kOffProdHH}), count,
                           guess_at, config.extend_top_k, hyp_high);
-    note_phase(config, "high_extend", static_cast<std::size_t>(count), res.high_extend);
+    note_phase(config, "high_extend", static_cast<std::size_t>(count), res.high_extend, cost);
 
     std::vector<std::uint32_t> survivors;
     survivors.reserve(res.high_extend.top.size());
@@ -295,7 +286,7 @@ ComponentResult staged_attack(const ComponentDataset& ds, const ComponentAttackC
         survivors.size(), [&](std::uint64_t i) { return survivors[i]; }, survivors.size(),
         hyp_high);
     res.x1 = res.high_prune.value;
-    note_phase(config, "high_prune", survivors.size(), res.high_prune);
+    note_phase(config, "high_prune", survivors.size(), res.high_prune, cost);
   }
 
   res.bits = attack::assemble_bits(res.sign, res.exponent, res.x1, res.x0);

@@ -63,10 +63,12 @@ TEST(Cpa, StreamingScanMatchesEngine) {
   ChaCha20Prng rng(0xB002);
   constexpr std::size_t kD = 300;
   std::vector<float> col(kD);
-  std::vector<std::uint32_t> knowns(kD);
+  KnownLanes known;
   for (std::size_t i = 0; i < kD; ++i) {
-    knowns[i] = static_cast<std::uint32_t>(rng.next_u64());
-    col[i] = static_cast<float>(std::popcount(knowns[i] * 0xABCDU)) +
+    KnownOperand k{};
+    k.y0 = static_cast<std::uint32_t>(rng.next_u64()) & fpr::kMantLowMask;
+    known.push_back(k);
+    col[i] = static_cast<float>(std::popcount(std::uint64_t{k.y0} * 0xABCDU)) +
              static_cast<float>(rng.gaussian());
   }
   // Engine path.
@@ -74,16 +76,12 @@ TEST(Cpa, StreamingScanMatchesEngine) {
   const std::uint32_t guesses[3] = {0xABCD, 0x1234, 0x9999};
   for (std::size_t i = 0; i < kD; ++i) {
     double hyps[3];
-    for (int g = 0; g < 3; ++g) hyps[g] = std::popcount(knowns[i] * guesses[g]);
+    for (int g = 0; g < 3; ++g) hyps[g] = std::popcount(std::uint64_t{known.y0[i]} * guesses[g]);
     eng.add_trace(hyps, {&col[i], 1});
   }
   // Streaming path.
-  StreamingScan scan({col});
-  const auto top = scan.top_k_list(
-      guesses, [&](std::uint32_t g, std::size_t t, std::size_t) {
-        return static_cast<double>(std::popcount(knowns[t] * g));
-      },
-      3);
+  StreamingScan scan({{col, &known, {HypKind::kMulY0}}});
+  const auto top = scan.top_k_list(guesses, 3);
   ASSERT_EQ(top.size(), 3U);
   EXPECT_EQ(top[0].guess, 0xABCDU);
   for (int g = 0; g < 3; ++g) {

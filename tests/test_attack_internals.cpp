@@ -63,47 +63,46 @@ TEST(Calibration, ConstantWeightGivesZeroGain) {
 TEST(StreamingScan, TopKOrderingAndSize) {
   ChaCha20Prng rng(0xAA04);
   std::vector<float> col(500);
-  std::vector<std::uint32_t> known(500);
+  KnownLanes known;
   for (std::size_t i = 0; i < col.size(); ++i) {
-    known[i] = static_cast<std::uint32_t>(rng.next_u64());
-    col[i] = static_cast<float>(std::popcount(known[i] * 777U)) +
+    KnownOperand k{};
+    k.y0 = static_cast<std::uint32_t>(rng.next_u64()) & fpr::kMantLowMask;
+    known.push_back(k);
+    col[i] = static_cast<float>(std::popcount(std::uint64_t{k.y0} * 777U)) +
              0.5F * static_cast<float>(rng.gaussian());
   }
-  StreamingScan scan({col});
-  const auto model = [&](std::uint32_t g, std::size_t t, std::size_t) {
-    return static_cast<double>(std::popcount(known[t] * g));
-  };
-  const auto top = scan.top_k(700, 800, model, 10);
+  StreamingScan scan({{col, &known, {HypKind::kMulY0}}});
+  const auto top = scan.top_k(700, 800, 10);
   ASSERT_EQ(top.size(), 10U);
   EXPECT_EQ(top[0].guess, 777U);
   for (std::size_t i = 1; i < top.size(); ++i) {
     EXPECT_LE(top[i].score, top[i - 1].score);  // descending
   }
   // keep > space size clamps.
-  const auto all = scan.top_k(700, 705, model, 10);
+  const auto all = scan.top_k(700, 705, 10);
   EXPECT_EQ(all.size(), 5U);
 }
 
 TEST(StreamingScan, ScoreOneMatchesTopK) {
   ChaCha20Prng rng(0xAA05);
   std::vector<float> col(200);
-  std::vector<std::uint32_t> known(200);
+  KnownLanes known;
   for (std::size_t i = 0; i < col.size(); ++i) {
-    known[i] = static_cast<std::uint32_t>(rng.next_u64());
-    col[i] = static_cast<float>(std::popcount(known[i]));
+    KnownOperand k{};
+    k.sign = (rng.next_u64() & 1) != 0;
+    known.push_back(k);
+    col[i] = k.sign ? 1.0F : 0.0F;
   }
-  StreamingScan scan({col});
-  const auto model = [&](std::uint32_t g, std::size_t t, std::size_t) {
-    return static_cast<double>(std::popcount(known[t] ^ g));
-  };
+  StreamingScan scan({{col, &known, {HypKind::kSign}}});
   const std::uint32_t guesses[3] = {0, 0xFFFFFFFF, 0x12345678};
-  const auto top = scan.top_k_list(guesses, model, 3);
+  const auto top = scan.top_k_list(guesses, 3);
   for (const auto& s : top) {
-    EXPECT_DOUBLE_EQ(scan.score_one(s.guess, model), s.score);
+    EXPECT_DOUBLE_EQ(scan.score_one(s.guess), s.score);
   }
-  // XOR with all-ones flips every bit: perfect anti-correlation.
-  EXPECT_NEAR(scan.score_one(0xFFFFFFFFU, model), -1.0, 1e-9);
-  EXPECT_NEAR(scan.score_one(0U, model), 1.0, 1e-9);
+  // A nonzero guess predicts the flipped sign bit: perfect
+  // anti-correlation.
+  EXPECT_NEAR(scan.score_one(0xFFFFFFFFU), -1.0, 1e-9);
+  EXPECT_NEAR(scan.score_one(0U), 1.0, 1e-9);
 }
 
 TEST(Candidates, TruthWithNoShiftsStillPresent) {

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -24,16 +25,19 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_pool.h"
 
 #include "attack/cpa.h"
 #include "attack/cpa_kernel.h"
+#include "attack/key_recovery.h"
 #include "attack/parallel_attack.h"
 #include "attack/recovery_pipeline.h"
 #include "attack/streaming_cpa.h"
 #include "common/rng.h"
+#include "common/shake256.h"
 #include "falcon/falcon.h"
 #include "obs/metrics.h"
 #include "sca/campaign.h"
@@ -264,18 +268,26 @@ TEST(CpaKernel, DcOffsetRegressionRecoversKeyGuess) {
   }
 
   // StreamingScan shares the fix: the huge-guess-space path scores the
-  // truth on top too.
-  std::vector<std::vector<float>> cols(1);
-  cols[0].reserve(s.samples.size());
-  for (const auto& row : s.samples) cols[0].push_back(row[0]);
-  const StreamingScan scan(std::move(cols));
-  const auto& hyps = s.hyps;
-  const auto model = [&hyps](std::uint32_t guess, std::size_t trace, std::size_t) {
-    return hyps[trace][guess];
-  };
-  const auto top = scan.top_k(0, s.num_guesses, model, s.num_guesses);
+  // truth on top too, under the same DC offset.
+  ChaCha20Prng rng(0xDC0FF);
+  constexpr std::uint32_t kTruth = 0x1ABCDE1;
+  KnownLanes known;
+  std::vector<float> col;
+  for (std::size_t t = 0; t < s.samples.size(); ++t) {
+    KnownOperand k{};
+    k.y0 = static_cast<std::uint32_t>(rng.next_u64()) & fpr::kMantLowMask;
+    known.push_back(k);
+    col.push_back(static_cast<float>(
+        1e8 + std::popcount(std::uint64_t{kTruth} * k.y0) + rng.gaussian()));
+  }
+  std::vector<std::uint32_t> guesses = {kTruth};
+  for (int g = 0; g < 15; ++g) {
+    guesses.push_back(static_cast<std::uint32_t>(rng.next_u64()) & fpr::kMantLowMask);
+  }
+  const StreamingScan scan({{col, &known, {HypKind::kMulY0}}});
+  const auto top = scan.top_k_list(guesses, guesses.size());
   ASSERT_FALSE(top.empty());
-  EXPECT_EQ(top.front().guess, 0U);
+  EXPECT_EQ(top.front().guess, kTruth);
   EXPECT_GT(top.front().score, 0.5);
 }
 
@@ -545,23 +557,25 @@ TEST(CpaSimd, EnvOverrideHonored) {
 
 TEST(CpaShards, StreamingScanShardingIsByteIdentical) {
   const auto s = make_synthetic(120, 200, 2, 2.0, 0.0, 1.2, 0x5AAD);
+  ChaCha20Prng rng(0x5AAD);
+  KnownLanes known;
   std::vector<std::vector<float>> cols(s.num_samples);
-  for (std::size_t c = 0; c < s.num_samples; ++c) {
-    for (const auto& row : s.samples) cols[c].push_back(row[c]);
+  for (std::size_t t = 0; t < s.samples.size(); ++t) {
+    known.push_back(
+        KnownOperand::from(fpr::Fpr::from_bits((rng.next_u64() >> 2) | (1ULL << 62))));
+    for (std::size_t c = 0; c < s.num_samples; ++c) cols[c].push_back(s.samples[t][c]);
   }
-  StreamingScan scan(std::move(cols));
-  const auto& hyps = s.hyps;
-  const auto model = [&hyps](std::uint32_t guess, std::size_t trace, std::size_t) {
-    return hyps[trace][guess];
-  };
+  StreamingScan scan(
+      {{cols[0], &known, {HypKind::kMulY0}}, {cols[1], &known, {HypKind::kMulY1}}});
 
   // A guess list with DUPLICATES: equal scores are guaranteed, so the
-  // arrival-order tiebreak itself is under test.
+  // arrival-order tiebreak itself is under test (and g, 2g, 4g, ...
+  // predict identical weights, so shift-family ties are too).
   std::vector<std::uint32_t> guesses;
   for (std::uint32_t g = 0; g < s.num_guesses; ++g) guesses.push_back(g);
   for (std::uint32_t g = 0; g < 40; ++g) guesses.push_back(g);  // repeats
 
-  const auto serial = scan.top_k_list(guesses, model, 24);
+  const auto serial = scan.top_k_list(guesses, 24);
   ASSERT_EQ(serial.size(), 24U);
 
   exec::ThreadPool pool1(1);
@@ -569,7 +583,7 @@ TEST(CpaShards, StreamingScanShardingIsByteIdentical) {
   for (const std::size_t shards : {2U, 3U, 7U, 64U}) {
     for (exec::ThreadPool* pool : {static_cast<exec::ThreadPool*>(nullptr), &pool1, &pool3}) {
       scan.set_parallelism(shards, pool);
-      const auto sharded = scan.top_k_list(guesses, model, 24);
+      const auto sharded = scan.top_k_list(guesses, 24);
       ASSERT_EQ(sharded.size(), serial.size()) << "shards=" << shards;
       for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(sharded[i].guess, serial[i].guess) << "shards=" << shards << " i=" << i;
@@ -577,9 +591,9 @@ TEST(CpaShards, StreamingScanShardingIsByteIdentical) {
       }
       // top_k over a contiguous range shards identically too.
       scan.set_parallelism(1, nullptr);
-      const auto range_serial = scan.top_k(0, s.num_guesses, model, 16);
+      const auto range_serial = scan.top_k(0, s.num_guesses, 16);
       scan.set_parallelism(shards, pool);
-      const auto range_sharded = scan.top_k(0, s.num_guesses, model, 16);
+      const auto range_sharded = scan.top_k(0, s.num_guesses, 16);
       ASSERT_EQ(range_sharded.size(), range_serial.size());
       for (std::size_t i = 0; i < range_serial.size(); ++i) {
         EXPECT_EQ(range_sharded[i].guess, range_serial[i].guess);
@@ -630,6 +644,182 @@ TEST(CpaShards, ComponentAttackShardingIsByteIdentical) {
   }
 }
 
+// --- score pins --------------------------------------------------------------
+//
+// The digests below were recorded from the per-(guess, trace, column)
+// model-lambda scan that preceded the hypothesis tiles. Any scan
+// optimisation must reproduce every phase's ranked list bit for bit, at
+// every dispatch kind, batch size and shard count, including trace
+// counts that leave a partial batch and a partial 4-lane group.
+
+struct ScanPin {
+  std::size_t traces;
+  std::size_t batch;
+  std::uint64_t digest;
+};
+
+constexpr ScanPin kScanPins[] = {
+    {256, 64, 0x9829bbd99af230a3ULL},
+    {256, 1, 0x9829bbd99af230a3ULL},
+    {203, 64, 0x1f20ea1dbc878cc3ULL},
+    {203, 1, 0x1f20ea1dbc878cc3ULL},
+};
+
+struct ScanPinRig {
+  falcon::KeyPair kp;
+  std::vector<sca::TraceSet> sets;
+
+  ScanPinRig() {
+    ChaCha20Prng rng(0x5CA9);
+    kp = falcon::keygen(4, rng);
+    auto camp = small_config(0x5CA9);
+    camp.num_traces = 256;
+    sets = sca::run_full_campaign(kp.sk, camp);
+  }
+
+  // First 64 bits of SHAKE256 over every phase's top list (guess, score
+  // bit pattern) of two components, one per dataset part.
+  [[nodiscard]] std::uint64_t digest(std::size_t traces, std::size_t batch, std::size_t shards,
+                                     exec::ThreadPool* pool) const {
+    Shake256 sh;
+    const auto put = [&sh](std::uint64_t v) {
+      std::uint8_t b[8];
+      for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+      sh.inject(b);
+    };
+    for (const auto& [slot, imag] : {std::pair{std::size_t{1}, false}, {std::size_t{2}, true}}) {
+      const ComponentDataset ds = build_component_dataset(sets[slot], imag, traces);
+      KeyRecoveryConfig krc;
+      krc.cpa_batch = batch;
+      ComponentAttackConfig cfg = component_attack_config(kp.sk, krc, 0, slot, imag);
+      cfg.cpa_shards = shards;
+      cfg.scan_pool = pool;
+      const ComponentResult r = attack_component(ds, cfg);
+      for (const PhaseOutcome* p : {&r.sign_phase, &r.exp_phase, &r.low_extend, &r.low_prune,
+                                    &r.high_extend, &r.high_prune}) {
+        put(p->top.size());
+        for (const auto& s : p->top) {
+          put(s.guess);
+          put(std::bit_cast<std::uint64_t>(s.score));
+        }
+      }
+      put(r.bits);
+    }
+    sh.flip();
+    return sh.extract_u64();
+  }
+};
+
+TEST(ScanPins, ScoresMatchReferenceAtEveryKernel) {
+  SimdGuard guard;
+  const ScanPinRig rig;
+  for (const CpaSimd kind : {CpaSimd::kScalar, CpaSimd::kAvx2, CpaSimd::kNeon}) {
+    if (!cpa_force_simd(kind)) continue;
+    for (const ScanPin& pin : kScanPins) {
+      const std::uint64_t d = rig.digest(pin.traces, pin.batch, 1, nullptr);
+      EXPECT_EQ(d, pin.digest) << std::hex << "0x" << d << std::dec << " at kernel "
+                               << cpa_simd_name(kind) << ", traces " << pin.traces
+                               << ", batch " << pin.batch;
+    }
+  }
+}
+
+TEST(ScanPins, ShardedScoresMatchReference) {
+  SimdGuard guard;
+  const ScanPinRig rig;
+  exec::ThreadPool pool(2);
+  for (const CpaSimd kind : {CpaSimd::kScalar, CpaSimd::kAvx2, CpaSimd::kNeon}) {
+    if (!cpa_force_simd(kind)) continue;
+    for (const ScanPin& pin : kScanPins) {
+      const std::uint64_t d = rig.digest(pin.traces, pin.batch, 3, &pool);
+      EXPECT_EQ(d, pin.digest) << std::hex << "0x" << d << std::dec << " at kernel "
+                               << cpa_simd_name(kind) << ", traces " << pin.traces
+                               << ", batch " << pin.batch << ", 3 shards";
+    }
+  }
+}
+
+// The campaign above leaks small integers, so its sums are exact in any
+// order and the pins cannot see a reordered fold. Sample magnitudes
+// spread over many binades can: here every model kind is scored against the per-guess program
+// spelled out -- materialise h - h0 per block, lanes4_fold_h it, sum the
+// blocks in order -- at every dispatch kind, at batch sizes that leave a
+// partial block and a partial 4-lane group (203 traces), and through
+// both the one-guess and the two-guess groups of the fused kernel.
+TEST(HypTiles, EveryKindMatchesPerGuessFoldBitForBit) {
+  SimdGuard guard;
+  ChaCha20Prng rng(0x711E);
+  constexpr std::size_t kD = 203;
+  KnownLanes known;
+  std::vector<float> col(kD);
+  for (std::size_t t = 0; t < kD; ++t) {
+    KnownOperand k{};
+    k.y0 = static_cast<std::uint32_t>(rng.next_u64()) & fpr::kMantLowMask;
+    k.y1 = (1U << 27) | (static_cast<std::uint32_t>(rng.next_u64()) & ((1U << 27) - 1));
+    k.exponent = 1000 + static_cast<unsigned>(rng.uniform(60));
+    k.sign = (rng.next_u64() & 1) != 0;
+    known.push_back(k);
+    // Magnitudes spread over 2^-20..2^20: float samples of one magnitude
+    // have too few bits for any sum of h * t to round, so only a spread
+    // makes the order of the additions visible.
+    col[t] = static_cast<float>(
+        std::ldexp(rng.gaussian(), static_cast<int>(rng.uniform(41)) - 20));
+  }
+  std::vector<std::uint32_t> guesses = {0, 1, 1029, 0xFFFFFFFF};
+  for (int g = 0; g < 8; ++g) guesses.push_back(static_cast<std::uint32_t>(rng.next_u64()));
+  const std::uint32_t x0 = 0x1234567;
+
+  const auto reference = [&](const HypModel& m, std::uint32_t g, std::size_t batch) {
+    std::vector<double> c(kD);
+    for (std::size_t t = 0; t < kD; ++t) {
+      c[t] = static_cast<double>(col[t]) - static_cast<double>(col[0]);
+    }
+    const double dn = static_cast<double>(kD);
+    const double st = lanes4_sum(c.data(), kD);
+    const double var_t = dn * lanes4_sumsq(c.data(), kD) - st * st;
+    const double h0 = hyp_model(m, g, known[0]);
+    double sh = 0.0, sh2 = 0.0, sht = 0.0;
+    std::vector<double> hblk(batch);
+    for (std::size_t t0 = 0; t0 < kD; t0 += batch) {
+      const std::size_t n = std::min(batch, kD - t0);
+      for (std::size_t b = 0; b < n; ++b) hblk[b] = hyp_model(m, g, known[t0 + b]) - h0;
+      const HFold f = lanes4_fold_h(hblk.data(), c.data() + t0, n);
+      sh += f.sh;
+      sh2 += f.sh2;
+      sht += f.sht;
+    }
+    const double var_h = dn * sh2 - sh * sh;
+    const double cov = dn * sht - sh * st;
+    const double denom = var_h * var_t;
+    return denom > 0.0 ? cov / std::sqrt(denom) : 0.0;
+  };
+
+  for (const HypKind kind : {HypKind::kSign, HypKind::kExpSum, HypKind::kMulY0, HypKind::kMulY1,
+                             HypKind::kAccZ1a, HypKind::kAccZ1b, HypKind::kAccZu}) {
+    const HypModel m{kind, x0};
+    for (const std::size_t batch : {1U, 7U, 64U}) {
+      ASSERT_TRUE(cpa_force_simd(CpaSimd::kScalar));
+      std::vector<double> want;
+      for (const std::uint32_t g : guesses) want.push_back(reference(m, g, batch));
+      for (const CpaSimd simd : {CpaSimd::kScalar, CpaSimd::kAvx2, CpaSimd::kNeon}) {
+        if (!cpa_force_simd(simd)) continue;
+        const StreamingScan scan({{col, &known, m}}, {.batch_traces = batch});
+        const auto top = scan.top_k_list(guesses, guesses.size());
+        ASSERT_EQ(top.size(), guesses.size());
+        for (std::size_t i = 0; i < guesses.size(); ++i) {
+          const auto it = std::find_if(top.begin(), top.end(),
+                                       [&](const auto& s) { return s.guess == guesses[i]; });
+          ASSERT_NE(it, top.end());
+          EXPECT_EQ(it->score, want[i])
+              << "kind " << static_cast<int>(kind) << ", batch " << batch << ", kernel "
+              << cpa_simd_name(simd) << ", guess 0x" << std::hex << guesses[i];
+          EXPECT_EQ(scan.score_one(guesses[i]), want[i]);
+        }
+      }
+    }
+  }
+}
+
 // --- release-mode contract pins (satellite bugfixes) -----------------------
 //
 // The default build defines NDEBUG, so these tests exercise exactly the
@@ -654,6 +844,18 @@ TEST(CpaRelease, AddTraceShapeMismatchThrowsInEveryBuildMode) {
   kernel.add_trace(sums, good_h, good_t);
   kernel.flush(sums);
   EXPECT_EQ(sums.traces, 1U);
+}
+
+TEST(CpaRelease, StreamingScanShapeMismatchThrowsInEveryBuildMode) {
+  KnownLanes known;
+  for (int t = 0; t < 4; ++t) known.push_back(KnownOperand{});
+  const std::vector<float> four(4, 1.0F), five(5, 1.0F);
+  const HypModel m{HypKind::kMulY0};
+  // Ragged columns, and more samples than known operands.
+  EXPECT_THROW(StreamingScan({{four, &known, m}, {five, &known, m}}), std::invalid_argument);
+  EXPECT_THROW(StreamingScan({{five, &known, m}}), std::invalid_argument);
+  EXPECT_THROW(StreamingScan({{four, nullptr, m}}), std::invalid_argument);
+  EXPECT_NO_THROW(StreamingScan({{four, &known, m}}));
 }
 
 #ifdef FD_ATTACK_BIN

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -435,6 +436,41 @@ TEST(Archive, HugeTraceLengthIsBoundedByTheFile) {
   EXPECT_TRUE(rr.truncated_tail);
   EXPECT_EQ(rr.records_kept, 0U);
 }
+
+#ifdef FD_TRACEDB_BIN
+
+// export-csv sizes its CSV header from the records it reads, not from
+// the claimed samples_per_trace: a forged header must neither write one
+// header column per claimed sample nor exit 0 on a file with no
+// readable record. The file-size limit turns a regression into a
+// bounded failure instead of a disk-filling one.
+TEST(TraceDbCli, ExportCsvForgedSampleCountIsBounded) {
+  TempFile tmp("ts_forged_export.fdtrace");
+  TempFile out("ts_forged_export.csv");
+  write_archive(tmp.path, 2 * kTracesPerChunk);
+  write_u32_at(tmp.path, 28, 0xFFFFFFF0U);  // samples_per_trace
+  const std::string cmd = "ulimit -f 1024; " + std::string(FD_TRACEDB_BIN) + " export-csv " +
+                          tmp.path + " > " + out.path + " 2>/dev/null";
+  const int rc = std::system(cmd.c_str());
+  EXPECT_NE(rc, 0);
+  const std::string csv = read_file(out.path);
+  EXPECT_EQ(csv, "slot,index,known_re_bits,known_im_bits\n");
+}
+
+TEST(TraceDbCli, ExportCsvHeaderMatchesRecords) {
+  TempFile tmp("ts_export.fdtrace");
+  TempFile out("ts_export.csv");
+  write_archive(tmp.path, 3);
+  const std::string cmd = std::string(FD_TRACEDB_BIN) + " export-csv " + tmp.path + " > " +
+                          out.path;
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  const std::string csv = read_file(out.path);
+  const std::string header = csv.substr(0, csv.find('\n'));
+  EXPECT_EQ(std::count(header.begin(), header.end(), ','), 3 + static_cast<long>(kSamples));
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);
+}
+
+#endif  // FD_TRACEDB_BIN
 
 // A chunk header claiming one record more than the file holds.
 TEST(Archive, ChunkOneRecordPastTheEndIsTruncatedTail) {

@@ -70,6 +70,7 @@
 #include <string_view>
 #include <vector>
 
+#include "attack/cpa_kernel.h"
 #include "attack/recovery_pipeline.h"
 #include "common/rng.h"
 #include "distinguisher/component_scorer.h"
@@ -498,6 +499,7 @@ int main(int argc, char** argv) {
     field("cpa_batch", std::to_string(opt.batch), false);
     field("cpa_shards", std::to_string(opt.cpa_shards), false);
     field("backend", std::string(distinguisher::backend_name(opt.backend.backend)), true);
+    field("cpa_kernel", attack::cpa_simd_name(attack::cpa_active_simd()), true);
     field("records", std::to_string(res.captured_records), false);
     field("components_correct", std::to_string(res.recovery.components_correct), false);
     field("components_total", std::to_string(res.recovery.components_total), false);

@@ -66,6 +66,8 @@ struct Phase {
   std::size_t kept = 0;
   std::uint64_t value = 0;
   double score = 0.0;
+  double scan_us = 0.0;            // 0: not reported (older files)
+  double guess_traces = 0.0;       // guess x trace x column evaluations
 };
 
 struct Campaign {
@@ -212,6 +214,8 @@ void ingest_object(Report& rep, const jsonl::Object& obj) {
     p.kept = static_cast<std::size_t>(obj.num("kept"));
     p.value = static_cast<std::uint64_t>(obj.num("value"));
     p.score = obj.num("score");
+    p.scan_us = obj.num("scan_us");
+    p.guess_traces = obj.num("guess_traces");
     rep.phases.at(obj.str("label")).push_back(p);
   } else if (ev == "sca.campaign") {
     Campaign c;
@@ -337,13 +341,20 @@ void print_summary(const Report& rep) {
 
   if (!rep.phases.all().empty()) {
     std::printf("== extend-and-prune (ep.phase) ==\n");
-    std::printf("  %-14s %-12s %12s %8s %12s %9s\n", "label", "phase", "candidates", "kept",
-                "value", "score");
+    std::printf("  %-14s %-12s %12s %8s %12s %9s %9s %9s\n", "label", "phase", "candidates",
+                "kept", "value", "score", "scan_ms", "Mgtc/s");
     for (const auto& [label, phases] : rep.phases.all()) {
       for (const auto& p : phases) {
-        std::printf("  %-14s %-12s %12zu %8zu %12llu %9.5f\n", label.c_str(),
+        // Scan throughput in million guess x trace x column evaluations
+        // per second ("-" for files that predate the scan fields).
+        char ms[16] = "-", rate[16] = "-";
+        if (p.scan_us > 0.0) {
+          std::snprintf(ms, sizeof ms, "%.3f", p.scan_us / 1e3);
+          std::snprintf(rate, sizeof rate, "%.1f", p.guess_traces / p.scan_us);
+        }
+        std::printf("  %-14s %-12s %12zu %8zu %12llu %9.5f %9s %9s\n", label.c_str(),
                     p.phase.c_str(), p.candidates_in, p.kept,
-                    static_cast<unsigned long long>(p.value), p.score);
+                    static_cast<unsigned long long>(p.value), p.score, ms, rate);
       }
     }
     std::printf("\n");

@@ -5,7 +5,7 @@
 //   fd-tracedb repair <in> <out> [--json]     salvage CRC-valid chunks
 //   fd-tracedb merge <out> <in1> <in2> [...]  join shards into one archive
 //   fd-tracedb split <in> <out-prefix> <k>    cut into k query-range shards
-//   fd-tracedb export-csv <archive> [slot [max_records]]
+//   fd-tracedb export-csv <archive> [slot [max_records]]  exit 1 on damage
 //
 // --json replaces the human output of info/verify with one flat JSON
 // object on stdout (the telemetry JSONL dialect), for scripting and CI.
@@ -285,14 +285,18 @@ int cmd_export_csv(const std::string& path, long slot, std::size_t max_records) 
     std::fprintf(stderr, "fd-tracedb: %s\n", reader.error().c_str());
     return 2;
   }
+  // One sample column per sample of the first record the file actually
+  // holds -- never per the header's claimed samples_per_trace, which a
+  // forged header could set to 2^32 and make this line gigabytes long.
+  TraceRecord rec;
+  bool more = reader.next(rec);
   std::printf("slot,index,known_re_bits,known_im_bits");
-  for (std::uint32_t s = 0; s < reader.meta().samples_per_trace; ++s) {
-    std::printf(",s%u", s);
+  if (more) {
+    for (std::size_t s = 0; s < rec.samples.size(); ++s) std::printf(",s%zu", s);
   }
   std::printf("\n");
-  TraceRecord rec;
   std::size_t emitted = 0;
-  while (emitted < max_records && reader.next(rec)) {
+  for (; more && emitted < max_records; more = reader.next(rec)) {
     if (slot >= 0 && rec.slot != static_cast<std::uint32_t>(slot)) continue;
     std::printf("%u,%u,0x%016llX,0x%016llX", rec.slot, rec.index,
                 static_cast<unsigned long long>(rec.known_re_bits),
@@ -300,6 +304,14 @@ int cmd_export_csv(const std::string& path, long slot, std::size_t max_records) 
     for (const float v : rec.samples) std::printf(",%.9g", v);
     std::printf("\n");
     ++emitted;
+  }
+  if (!reader.stats().clean()) {
+    std::fprintf(stderr,
+                 "fd-tracedb: %s is damaged (%zu corrupt chunk%s%s); exported %zu records\n",
+                 path.c_str(), reader.stats().chunks_corrupt,
+                 reader.stats().chunks_corrupt == 1 ? "" : "s",
+                 reader.stats().truncated_tail ? ", truncated tail" : "", emitted);
+    return 1;
   }
   return 0;
 }
