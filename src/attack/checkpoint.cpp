@@ -225,7 +225,7 @@ bool load_checkpoint(const std::string& path, CheckpointState& state, std::strin
     state.done[i] = c.u8();
     if (state.done[i] != 0) {
       get_result(c, state.results[i]);
-      state.accepted_traces[i] = c.u64();
+      state.accepted_traces[i] = static_cast<std::size_t>(c.u64());
     }
     if (c.fail) return fail("corrupt payload");
   }

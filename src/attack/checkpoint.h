@@ -54,7 +54,7 @@ struct CheckpointState {
   std::uint32_t remeasure_round = 0;       // re-measurement rounds already merged
   std::vector<std::uint8_t> done;          // 1 = component finished
   std::vector<ComponentResult> results;    // valid where done[i]
-  std::vector<std::uint64_t> accepted_traces;  // post-gate D where done[i]
+  std::vector<std::size_t> accepted_traces;  // post-gate D where done[i]
 
   void reset(std::size_t num_components) {
     config_hash = 0;

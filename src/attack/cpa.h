@@ -8,9 +8,13 @@
 //
 // The accumulation itself lives in cpa_kernel.h: traces are buffered in
 // batches and folded blocked (see that header for the canonical-order
-// and shifted-data contracts). CpaEngine and StreamingScan are both
-// thin owners of that kernel, so the streamed and in-memory attack
-// paths share one arithmetic by construction.
+// and shifted-data contracts). Two entry points of that kernel feed two
+// owners here: CpaEngine folds its G x S CpaSums through CpaBatchKernel
+// (the archive-streaming and in-memory CPA of streaming_cpa.h), while
+// StreamingScan -- what extend-and-prune runs -- evaluates closed
+// hypothesis kinds in guess tiles and folds them through the dispatched
+// lanes4_hyp_fold entry (DESIGN.md section 16.5). They are separate
+// code paths, not one kernel behind two thin owners.
 
 #include <algorithm>
 #include <cmath>

@@ -135,4 +135,25 @@ bool attack_components_gated(const std::string& archive_path, const QualityConfi
   return true;
 }
 
+bool attack_checkpointed(const std::string& archive_path, const QualityConfig& gate,
+                         const ComponentConfigFn& config_for, exec::ThreadPool* pool,
+                         std::span<const std::size_t> todo, std::size_t batch_size,
+                         CheckpointState& st, QualityReport& quality, const BatchHooks& hooks,
+                         std::string* error) {
+  const std::size_t step = batch_size == 0 ? std::max<std::size_t>(1, todo.size()) : batch_size;
+  for (std::size_t b = 0; b < todo.size(); b += step) {
+    if (hooks.before) hooks.before();
+    const std::span<const std::size_t> batch = todo.subspan(b, std::min(step, todo.size() - b));
+    QualityReport q;
+    if (!attack_components_gated(archive_path, gate, config_for, pool, batch, st.results,
+                                 st.accepted_traces, &q, error)) {
+      return false;
+    }
+    quality.add(q);
+    for (const std::size_t idx : batch) st.done[idx] = 1;
+    if (hooks.after) hooks.after(batch);
+  }
+  return true;
+}
+
 }  // namespace fd::attack

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/checkpoint.h"
 #include "attack/extend_prune.h"
 #include "attack/quality.h"
 #include "exec/thread_pool.h"
@@ -80,5 +81,22 @@ using ComponentConfigFn = std::function<ComponentAttackConfig(const ComponentInd
                                            std::vector<std::size_t>& accepted_traces,
                                            QualityReport* quality = nullptr,
                                            std::string* error = nullptr);
+
+// The checkpointed batch loop of the in-process stage executor and the
+// fleet worker: attacks `todo` in batches of `batch_size` (0 = one
+// batch, one archive scan), records each batch into `st` (done,
+// results, accepted_traces) and `quality`, and calls hooks.after -- the
+// persist point; hooks.before runs ahead of each batch and may throw.
+// Returns false with `error` set when a batch fails.
+struct BatchHooks {
+  std::function<void()> before;
+  std::function<void(std::span<const std::size_t> batch)> after;
+};
+[[nodiscard]] bool attack_checkpointed(const std::string& archive_path, const QualityConfig& gate,
+                                       const ComponentConfigFn& config_for,
+                                       exec::ThreadPool* pool,
+                                       std::span<const std::size_t> todo, std::size_t batch_size,
+                                       CheckpointState& st, QualityReport& quality,
+                                       const BatchHooks& hooks, std::string* error);
 
 }  // namespace fd::attack

@@ -5,10 +5,12 @@
 // production-scale runs: capture streams to a .fdtrace archive in
 // parallel shards (bounded memory), the per-component attack fans out
 // across the pool reading that archive, and assembly/forging complete
-// the key. Stages are a linear exec::JobGraph -- each stage runs inline
-// while its *inside* (shards, components) uses the pool -- and every
-// stage's wall time is reported, which is what bench_parallel_scaling
-// measures.
+// the key. The stages are the one stage plan of attack/stage_driver.h,
+// driven here through the in-process executor; fleet::run_fleet drives
+// the same plan through worker processes. Stages are a linear
+// exec::JobGraph -- each stage runs inline while its *inside* (shards,
+// components) uses the pool -- and every stage's wall time is reported,
+// which is what bench_parallel_scaling measures.
 //
 // Robustness layer (DESIGN.md section 10): the pipeline survives a
 // hostile rig instead of assuming a pristine one.
@@ -91,6 +93,12 @@ struct RecoveryPipelineResult {
   KeyRecoveryResult recovery;
   std::vector<exec::JobGraph::JobReport> stages;  // capture/attack/remeasure/assemble/forge
   std::size_t captured_records = 0;
+
+  // Per-component state as it entered assembly (before alias repair),
+  // indexed by global component id -- the bit-identity surface tests
+  // compare across thread counts and fleet sizes.
+  std::vector<ComponentResult> results;
+  std::vector<std::size_t> accepted_traces;
 
   QualityReport quality;               // aggregate gate counts (all rounds)
   std::size_t capture_attempts = 0;    // capture tries incl. rig-down retries

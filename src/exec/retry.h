@@ -1,9 +1,9 @@
 #pragma once
 // Unified bounded-retry / exponential-backoff policy.
 //
-// Three subsystems retry transient failures: adaptive re-measurement
-// re-captures a shard the fault plan ate (attack/recovery_pipeline.cpp),
-// the fleet coordinator re-queues a task whose worker died
+// Three subsystems retry transient failures: the stage plan re-captures
+// a round the fault plan ate (attack/stage_driver.cpp, in-process and
+// fleet alike), the fleet coordinator re-queues a task whose worker died
 // (fleet/coordinator.cpp), and the same coordinator re-dials a remote
 // worker whose connection dropped. They all share one contract, so the
 // policy lives here rather than being re-implemented per call site:

@@ -17,10 +17,8 @@
 #include <thread>
 #include <utility>
 
-#include "attack/checkpoint.h"
-#include "attack/parallel_attack.h"
+#include "attack/stage_driver.h"
 #include "common/rng.h"
-#include "exec/parallel_for.h"
 #include "exec/retry.h"
 #include "exec/seed_split.h"
 #include "falcon/falcon.h"
@@ -98,12 +96,14 @@ struct WorkerProc {
   std::uint64_t archive_gen = 0;  // merged-archive generation pushed
 };
 
-// The whole orchestration lives in one object so the stage lambdas of
-// the JobGraph share workers, telemetry, and merged state.
-class Coordinator {
+// The fleet's stage executor: the stage plan (attack/stage_driver.h)
+// asks for capture shards and component attacks, and this object turns
+// them into worker tasks -- spawning, scheduling, reassigning,
+// reconnecting, staging files, and tagging telemetry along the way.
+class Coordinator final : public attack::StageExecutor {
  public:
   Coordinator(const FleetConfig& config, FleetResult& out)
-      : cfg_(config), out_(out), fplan_(config.pipeline.faults), netplan_(config.net_faults) {}
+      : cfg_(config), out_(out), netplan_(config.net_faults) {}
 
   ~Coordinator() {
     sampler_.reset();  // its thread records through the sink below
@@ -115,7 +115,6 @@ class Coordinator {
   bool init() {
     ChaCha20Prng rng(cfg_.victim_seed);
     victim_ = falcon::keygen(cfg_.logn, rng);
-    n_ = victim_.sk.params.n;
 
     session_.logn = cfg_.logn;
     session_.victim_seed = cfg_.victim_seed;
@@ -135,24 +134,18 @@ class Coordinator {
     session_.trace_id = exec::mix64(session_.session_hash ^ kTraceSalt);
     obs::set_trace_root(session_.trace_id);
 
-    // One retry/backoff vocabulary (exec::RetryPolicy) for all three
-    // bounded-retry surfaces: task reassignment, capture-rig retries,
-    // and remote reconnects. Jitter seeds derive from the session hash
-    // so a replayed run backs off identically.
+    // One retry/backoff vocabulary (exec::RetryPolicy) for the fleet's
+    // bounded-retry surfaces: task reassignment and remote reconnects
+    // (the stage plan runs capture-rig retries under the same policy).
+    // Jitter seeds derive from the session hash so a replayed run backs
+    // off identically.
     task_retry_.max_attempts = std::max<std::size_t>(1, cfg_.max_task_attempts);
     task_retry_.base_ms = cfg_.backoff_base_ms;
     task_retry_.seed = session_.session_hash;
-    capture_retry_.max_attempts =
-        std::max<std::size_t>(1, cfg_.pipeline.remeasure.max_capture_attempts);
-    capture_retry_.base_ms = cfg_.pipeline.remeasure.backoff_base_ms;
-    capture_retry_.seed = session_.session_hash ^ 0xCAB;
     reconnect_retry_.max_attempts = std::max<std::size_t>(1, cfg_.reconnect_attempts);
     reconnect_retry_.base_ms = cfg_.reconnect_backoff_ms;
     reconnect_retry_.jitter = cfg_.reconnect_jitter;
     reconnect_retry_.seed = session_.session_hash ^ 0x4ECC;
-
-    results_.assign(n_, attack::ComponentResult{});
-    accepted_.assign(n_, 0);
 
     if (!cfg_.telemetry_path.empty()) {
       telem_ = std::fopen(cfg_.telemetry_path.c_str(), "wb");
@@ -176,16 +169,13 @@ class Coordinator {
       out_.error = "fleet: worker_binary not set";
       return false;
     }
-    if (cfg_.pipeline.archive_path.empty()) {
-      out_.error = "fleet: archive_path not set";
-      return false;
-    }
     return true;
   }
 
   const falcon::KeyPair& victim() { return victim_; }
+  [[nodiscard]] std::uint64_t session_hash() const { return session_.session_hash; }
 
-  // --- stages --------------------------------------------------------------
+  // --- the spawn stage and the two executor operations ---------------------
 
   // Local pipe workers the fleet should hold at strength. With remotes
   // configured, `workers` counts locals only and may be 0 (remote-only
@@ -207,102 +197,51 @@ class Coordinator {
     if (workers_.empty()) throw std::runtime_error("fleet: no workers configured");
   }
 
-  std::uint64_t capture_round(std::size_t round, std::size_t num_traces,
-                              std::size_t query_offset, const std::string& path) {
-    const std::uint64_t round_seed =
-        round == 0 ? cfg_.pipeline.attack.seed
-                   : exec::split_seed(cfg_.pipeline.attack.seed, 0xAD0 + round);
-    const auto plan = exec::static_chunks(
-        num_traces, std::max<std::size_t>(1, cfg_.pipeline.capture_shards));
-    const std::size_t max_attempts = capture_retry_.max_attempts;
-    for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-      ++out_.capture_attempts;
-      if (fplan_.capture_fails(round, attempt)) {
-        // Rig down: the same deterministic (round, attempt) keying and
-        // backoff schedule (base << attempt) as the single-process
-        // pipeline, expressed through the shared RetryPolicy.
-        obs::MetricsRegistry::global().counter("attack.pipeline.capture_failures").add(1);
-        const std::size_t wait_ms = capture_retry_.backoff_ms(attempt + 1, round);
-        if (wait_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
-        }
-        continue;
-      }
-      // One capture task per shard, replicating run_campaign_sharded's
-      // per-shard recipe bit for bit (seed lane, global fault offset,
-      // chunk damage deferred past the merge).
-      std::vector<Task> tasks(plan.size());
-      std::vector<std::string> shard_paths(plan.size());
-      for (std::size_t i = 0; i < plan.size(); ++i) {
-        shard_paths[i] = path + ".shard" + std::to_string(i);
-        TaskSpec& spec = tasks[i].spec;
-        spec.task_id = next_task_id_++;
-        spec.kind = TaskKind::kCapture;
-        spec.capture_traces = plan[i].size();
-        spec.capture_seed = exec::split_seed(round_seed, i);
-        spec.fault_query_offset = query_offset + plan[i].begin;
-        spec.out_path = shard_paths[i];
-        // The enclosing exec.job.capture span: the worker re-parents
-        // its task span under it (DESIGN.md section 13).
-        spec.parent_span = obs::Span::current_context().span_id;
-      }
-      try {
-        run_tasks(tasks);
-      } catch (...) {
-        close_staging(tasks);
-        throw;
-      }
-      close_staging(tasks);
-      std::uint64_t records = 0;
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        if (tasks[i].state != Task::State::kDone) {
-          // Capture shards are load-bearing: without the shard file the
-          // merged archive (and every later stage) is wrong.
-          for (const auto& p : shard_paths) std::remove(p.c_str());
-          throw std::runtime_error("fleet: capture shard " + std::to_string(i) +
-                                   " failed permanently: " + tasks[i].result.error);
-        }
-        records += tasks[i].result.records;
-      }
-      std::string err;
-      if (!tracestore::merge_archives(shard_paths, path, &err)) {
-        for (const auto& p : shard_paths) std::remove(p.c_str());
-        throw std::runtime_error("fleet: capture merge failed: " + err);
-      }
-      for (const auto& p : shard_paths) std::remove(p.c_str());
-      if (cfg_.pipeline.faults.chunk_corrupt_rate > 0.0) {
-        std::string cerr;
-        if (!sca::corrupt_archive_chunks(path, fplan_, nullptr, &cerr)) {
-          throw std::runtime_error("fleet: " + cerr);
-        }
-      }
-      emit_event("fleet.capture.round", {{"round", round},
-                                         {"shards", plan.size()},
-                                         {"records", records}});
-      return records;
+  // One capture task per shard of the plan: the worker runs the plan's
+  // per-shard campaign (sca::shard_campaign) from the spec's seed,
+  // trace count and fault offset.
+  std::vector<sca::ArchiveCampaignResult> capture(const sca::ShardPlan& plan) override {
+    std::vector<Task> tasks(plan.shards.size());
+    for (std::size_t i = 0; i < plan.shards.size(); ++i) {
+      TaskSpec& spec = tasks[i].spec;
+      spec.task_id = next_task_id_++;
+      spec.kind = TaskKind::kCapture;
+      spec.capture_traces = plan.shards[i].num_traces;
+      spec.capture_seed = plan.shards[i].seed;
+      spec.fault_query_offset = plan.shards[i].fault_query_offset;
+      spec.out_path = plan.shard_paths[i];
+      // The enclosing exec.job.capture span: the worker re-parents
+      // its task span under it (DESIGN.md section 13).
+      spec.parent_span = obs::Span::current_context().span_id;
     }
-    throw std::runtime_error(
-        "fleet: capture round " + std::to_string(round) + ": rig down after " +
-        std::to_string(max_attempts) + " attempts");
+    try {
+      run_tasks(tasks);
+    } catch (...) {
+      close_staging(tasks);
+      throw;
+    }
+    close_staging(tasks);
+    // Capture shards are load-bearing: a shard that exhausted its
+    // retries fails the finalize step, and with it the capture round.
+    std::vector<sca::ArchiveCampaignResult> results;
+    for (const Task& t : tasks) {
+      const bool ok = t.state == Task::State::kDone;
+      results.push_back({t.result.queries, t.result.records, ok,
+                         ok ? std::string() : "failed permanently: " + t.result.error});
+    }
+    return results;
   }
 
-  void stage_capture() {
-    out_.captured_records = static_cast<std::size_t>(
-        capture_round(0, cfg_.pipeline.attack.num_traces, 0, cfg_.pipeline.archive_path));
-    // The merged archive now exists (generation 1); remote attack
-    // workers lazily receive whichever generation is current at
-    // dispatch time.
-    ++archive_gen_;
-  }
-
-  // Dispatches the listed components as contiguous component-range
-  // shards and merges every returned result by global component id.
-  // `allow_hooks` arms the kill/hang test hooks (main attack stage
-  // only, first attempt only).
-  void attack_components(const std::vector<std::size_t>& comps, bool allow_hooks) {
-    if (comps.empty()) return;
-    const std::size_t per =
-        std::max<std::size_t>(1, cfg_.components_per_shard);
+  // Dispatches the round's components as contiguous component-range
+  // shards and records every returned result by global component id.
+  // The kill/hang test hooks arm in the attack stage only (round 0).
+  std::vector<std::size_t> attack(const attack::AttackRound& round, attack::CheckpointState& st,
+                                  attack::QualityReport& quality) override {
+    // The capture stage wrote archive generation 1, every
+    // re-measurement merge one more; remote workers re-pull when behind.
+    archive_gen_ = round.round + 1;
+    const std::span<const std::size_t> comps = round.components;
+    const std::size_t per = std::max<std::size_t>(1, cfg_.components_per_shard);
     std::vector<Task> tasks;
     for (std::size_t b = 0; b < comps.size(); b += per) {
       const std::size_t shard = tasks.size();
@@ -312,138 +251,43 @@ class Coordinator {
       spec.kind = TaskKind::kAttack;
       spec.backend = static_cast<std::uint8_t>(session_.attack.backend.backend);
       spec.parent_span = obs::Span::current_context().span_id;
-      spec.archive_path = cfg_.pipeline.archive_path;
-      spec.checkpoint_path = cfg_.pipeline.archive_path + ".task" +
-                             std::to_string(spec.task_id) + ".fdckpt";
+      spec.archive_path = round.archive;
+      spec.checkpoint_path =
+          round.archive + ".task" + std::to_string(spec.task_id) + ".fdckpt";
       checkpoint_paths_.push_back(spec.checkpoint_path);
       const std::size_t end = std::min(comps.size(), b + per);
       for (std::size_t i = b; i < end; ++i) {
         spec.components.push_back(static_cast<std::uint32_t>(comps[i]));
       }
-      if (allow_hooks && shard == cfg_.kill_shard) spec.kill_after = cfg_.kill_after;
-      if (allow_hooks && shard == cfg_.hang_shard) spec.hang_ms = cfg_.hang_ms;
+      if (round.round == 0 && shard == cfg_.kill_shard) spec.kill_after = cfg_.kill_after;
+      if (round.round == 0 && shard == cfg_.hang_shard) spec.hang_ms = cfg_.hang_ms;
       tasks.push_back(std::move(t));
     }
     out_.attack_shards += tasks.size();
     run_tasks(tasks);
+    std::vector<std::size_t> given_up;
     for (const Task& t : tasks) {
       if (t.state != Task::State::kDone) {
-        // Graceful degradation: the shard's components stay at their
-        // current (possibly default) results and ride into assemble
-        // flagged; the run is partial, never silently wrong.
-        for (const std::uint32_t comp : t.spec.components) {
-          failed_components_.push_back(comp);
-        }
+        // Graceful degradation: the shard's components keep their
+        // current (possibly default) results and the stage plan flags
+        // them; the run is partial, never silently wrong.
+        given_up.insert(given_up.end(), t.spec.components.begin(), t.spec.components.end());
         continue;
       }
       for (const ComponentOutcome& o : t.result.outcomes) {
-        results_[o.component] = o.result;
-        accepted_[o.component] = static_cast<std::size_t>(o.accepted);
+        st.done[o.component] = 1;
+        st.results[o.component] = o.result;
+        st.accepted_traces[o.component] = static_cast<std::size_t>(o.accepted);
       }
-      out_.quality.add(t.result.quality);
+      quality.add(t.result.quality);
       out_.archive_scans += t.result.archive_scans;
     }
-  }
-
-  void stage_attack() {
-    std::vector<std::size_t> all(n_);
-    for (std::size_t i = 0; i < n_; ++i) all[i] = i;
-    attack_components(all, /*allow_hooks=*/true);
-  }
-
-  [[nodiscard]] std::vector<std::size_t> low_confidence_set() const {
-    std::vector<std::size_t> low;
-    if (!cfg_.pipeline.adaptive) return low;
-    for (std::size_t idx = 0; idx < n_; ++idx) {
-      if (!attack::component_confidence(results_[idx], accepted_[idx],
-                                        cfg_.pipeline.remeasure.confidence)
-               .confident) {
-        low.push_back(idx);
-      }
-    }
-    return low;
-  }
-
-  void stage_remeasure() {
-    if (cfg_.pipeline.adaptive) {
-      std::size_t round = 0;
-      std::vector<std::size_t> low = low_confidence_set();
-      const std::size_t round_traces = cfg_.pipeline.remeasure.round_traces == 0
-                                           ? cfg_.pipeline.attack.num_traces
-                                           : cfg_.pipeline.remeasure.round_traces;
-      const std::string& archive = cfg_.pipeline.archive_path;
-      while (!low.empty() && round < cfg_.pipeline.remeasure.max_rounds) {
-        ++round;
-        emit_event("fleet.remeasure.round",
-                   {{"round", round}, {"low_confidence", low.size()}});
-        const std::string extra = archive + ".r" + std::to_string(round);
-        const std::size_t offset =
-            cfg_.pipeline.attack.num_traces + (round - 1) * round_traces;
-        capture_round(round, round_traces, offset, extra);
-        const std::string merged = archive + ".merge";
-        const std::string inputs[] = {archive, extra};
-        std::string err;
-        if (!tracestore::merge_archives(inputs, merged, &err)) {
-          std::remove(extra.c_str());
-          throw std::runtime_error("fleet: re-measurement merge failed: " + err);
-        }
-        std::remove(extra.c_str());
-        if (std::rename(merged.c_str(), archive.c_str()) != 0) {
-          std::remove(merged.c_str());
-          throw std::runtime_error("fleet: re-measurement merge rename failed");
-        }
-        ++archive_gen_;  // remote workers must re-pull before attacking
-        attack_components(low, /*allow_hooks=*/false);
-        low = low_confidence_set();
-      }
-      out_.remeasure_rounds = round;
-      out_.flagged_components = std::move(low);
-    }
-    // Permanently failed shards degrade the run the same way an
-    // exhausted re-measurement budget does.
-    out_.flagged_components.insert(out_.flagged_components.end(),
-                                   failed_components_.begin(), failed_components_.end());
-    std::sort(out_.flagged_components.begin(), out_.flagged_components.end());
-    out_.flagged_components.erase(
-        std::unique(out_.flagged_components.begin(), out_.flagged_components.end()),
-        out_.flagged_components.end());
-    out_.partial = !out_.flagged_components.empty();
-  }
-
-  void stage_assemble() {
-    // Snapshot the merge surface before assemble_row's in-place alias
-    // repair mutates it.
-    out_.results = results_;
-    out_.accepted_traces = accepted_;
-    assembled_ = attack::assemble_row(results_, victim_.sk.params.logn, /*row=*/0);
-    const auto& secret_row = victim_.sk.b01;
-    out_.recovery.components_total = n_;
-    for (std::size_t idx = 0; idx < n_; ++idx) {
-      out_.recovery.components_correct +=
-          assembled_.recovered[idx].bits() == secret_row[idx].bits();
-    }
-    out_.recovery.recovered_f = assembled_.poly;
-    out_.recovery.f_exact = std::equal(assembled_.poly.begin(), assembled_.poly.end(),
-                                       victim_.sk.f.begin(), victim_.sk.f.end());
-  }
-
-  void stage_forge() {
-    auto forged = attack::forge_key(out_.recovery.recovered_f, victim_.pk);
-    if (!forged) return;  // attack failed to land; not a fleet error
-    out_.recovery.ntru_solved = true;
-    out_.recovery.derived_g = forged->g;
-    ChaCha20Prng rng(cfg_.pipeline.attack.seed ^ 0xF04C3);
-    const auto sig = falcon::sign(*forged, "forged by the falcon-down adversary", rng);
-    out_.recovery.forgery_verified =
-        falcon::verify(victim_.pk, "forged by the falcon-down adversary", sig);
+    return given_up;
   }
 
   void cleanup(bool ok) {
     shutdown_workers();
     for (const auto& p : checkpoint_paths_) std::remove(p.c_str());
-    if (ok && !cfg_.pipeline.keep_archive) {
-      std::remove(cfg_.pipeline.archive_path.c_str());
-    }
     emit_event("fleet.done", {{"ok", ok ? 1u : 0u},
                               {"workers_spawned", out_.workers_spawned},
                               {"worker_deaths", out_.worker_deaths},
@@ -1221,14 +1065,11 @@ class Coordinator {
 
   const FleetConfig& cfg_;
   FleetResult& out_;
-  sca::FaultPlan fplan_;
   NetFaultPlan netplan_;
   exec::RetryPolicy task_retry_;
-  exec::RetryPolicy capture_retry_;
   exec::RetryPolicy reconnect_retry_;
   std::uint64_t archive_gen_ = 0;
   falcon::KeyPair victim_;
-  std::size_t n_ = 0;
   SessionConfig session_;
 
   std::vector<WorkerProc> workers_;
@@ -1236,11 +1077,7 @@ class Coordinator {
   std::uint32_t next_task_id_ = 1;
   std::string spawn_error_;
 
-  std::vector<attack::ComponentResult> results_;
-  std::vector<std::size_t> accepted_;
-  std::vector<std::uint32_t> failed_components_;
   std::vector<std::string> checkpoint_paths_;
-  attack::RowAssembly assembled_;
 
   std::unique_ptr<CoordSink> coord_sink_;
   obs::TelemetrySink* prev_sink_ = nullptr;
@@ -1275,16 +1112,15 @@ FleetResult run_fleet(const FleetConfig& config) {
     // installed by init()'s set_trace_root, so every process in the run
     // shares one trace_id.
     obs::Span root("fleet.pipeline", obs::Span::Root::kAdopt);
-    exec::JobGraph graph;
-    const auto spawn = graph.add("spawn", [&] { coord.stage_spawn(); });
-    const auto capture = graph.add("capture", [&] { coord.stage_capture(); }, {spawn});
-    const auto attack = graph.add("attack", [&] { coord.stage_attack(); }, {capture});
-    const auto remeasure = graph.add("remeasure", [&] { coord.stage_remeasure(); }, {attack});
-    const auto assemble = graph.add("assemble", [&] { coord.stage_assemble(); }, {remeasure});
-    graph.add("forge", [&] { coord.stage_forge(); }, {assemble});
-
-    out.stages = graph.run_collect(nullptr, &out.error);
-    out.ok = out.error.empty();
+    // Checkpointing is per worker task and always on; the coordinator
+    // itself neither checkpoints, resumes, nor watches an interrupt flag.
+    attack::RecoveryPipelineConfig plan = config.pipeline;
+    plan.checkpoint = false;
+    plan.resume = false;
+    plan.abort_after_components = 0;
+    plan.interrupt_flag = nullptr;
+    attack::run_stage_plan(coord.victim(), plan, coord.session_hash(), coord, nullptr, out,
+                           [&] { coord.stage_spawn(); });
   }
   coord.cleanup(out.ok);
   obs::MetricsRegistry::global().counter("fleet.runs").add(1);

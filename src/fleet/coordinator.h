@@ -2,21 +2,26 @@
 // Fleet coordinator: shards one recovery campaign across worker
 // processes (DESIGN.md section 12).
 //
-// run_fleet is the multi-process twin of attack::run_recovery_pipeline:
-// the same staged shape (capture -> attack -> remeasure -> assemble ->
-// forge, reported through an exec::JobGraph), but capture shards and
-// component-range attack shards execute in `fd-attack --worker`
-// subprocesses spawned over pipes (fork/exec, no external deps).
+// run_fleet drives the one stage plan of attack/stage_driver.h -- the
+// plan run_recovery_pipeline drives in-process -- with the coordinator
+// as its StageExecutor: capture shards and component-range attack
+// shards execute in `fd-attack --worker` subprocesses spawned over
+// pipes (fork/exec, no external deps) or in `--serve` remotes. The
+// plan owns capture rounds, retries, finalize, re-measurement, assembly
+// and forgery; the coordinator owns only what is fleet-specific:
+// worker spawn and reaping, the poll scheduler, reassignment,
+// reconnects, archive staging, and telemetry tagging. Stages report
+// through the plan's exec::JobGraph, behind a leading `spawn` stage.
 //
 // Determinism contract: the recovered key is a pure function of
 // (victim seed, FleetConfig experiment knobs) and BIT-IDENTICAL to the
 // single-process pipeline at any worker count --
-//   - capture shards replicate run_campaign_sharded exactly (same
-//     split_seed lanes, same fault offsets, chunk damage on the merged
-//     file) and merge in shard-index order;
+//   - capture tasks run the plan's per-shard campaigns
+//     (sca::plan_shards / sca::shard_campaign), and the plan's finalize
+//     step promotes or merges them exactly as in-process;
 //   - components are independent, so partitioning them into shards
-//     cannot change any per-component result; the coordinator merges
-//     results by global component id;
+//     cannot change any per-component result; results are recorded by
+//     global component id;
 //   - the component-shard size (components_per_shard) matches the
 //     pipeline's checkpoint_every batching, so `attack.archive.scans`
 //     totals agree with a checkpointed single-process run too.
@@ -34,8 +39,9 @@
 //
 // Telemetry: every worker's obs JSONL lines arrive as kTelemetry
 // frames and land in one unified file, each line tagged with
-// `"worker":<id>`; the coordinator adds its own fleet.* lines (worker
-// lifecycle, task assignment, reassignment, remeasure rounds). The
+// `"worker":<id>`; the coordinator adds its own lines tagged "coord"
+// (fleet.* worker lifecycle, task assignment, reassignment, and the
+// plan's events such as attack.remeasure.round). The
 // file is flushed per line, so `fd-report --follow` tails a live run.
 
 #include <cstddef>
@@ -44,7 +50,6 @@
 #include <vector>
 
 #include "attack/recovery_pipeline.h"
-#include "exec/job_graph.h"
 #include "fleet/net_faults.h"
 
 namespace fd::fleet {
@@ -60,8 +65,8 @@ struct FleetConfig {
   // attack (threads = PER-WORKER pool size), capture_shards,
   // archive_path, keep_archive, faults, quality, remeasure, adaptive,
   // checkpoint_every (worker persist cadence). The pipeline's own
-  // checkpoint/resume flags are ignored -- fleet checkpointing is
-  // per-shard and always on.
+  // checkpoint/resume flags, interrupt_flag and abort_after_components
+  // are ignored -- fleet checkpointing is per-shard and always on.
   attack::RecoveryPipelineConfig pipeline;
 
   unsigned logn = 5;
@@ -117,24 +122,9 @@ struct FleetConfig {
   std::uint32_t hang_ms = 0;
 };
 
-struct FleetResult {
-  attack::KeyRecoveryResult recovery;
-  std::vector<exec::JobGraph::JobReport> stages;
-  std::size_t captured_records = 0;
-
-  // Merged per-component state as it entered assembly (pre alias
-  // repair), indexed by global component id -- the bit-identity
-  // surface tests compare across worker counts.
-  std::vector<attack::ComponentResult> results;
-  std::vector<std::size_t> accepted_traces;
-
-  attack::QualityReport quality;     // merged from worker TaskResults
-  std::size_t capture_attempts = 0;  // rounds tried incl. rig-down retries
-  std::size_t remeasure_rounds = 0;
-  std::vector<std::size_t> flagged_components;
-  bool partial = false;
-
-  // Fleet mechanics.
+// The pipeline's result (key, stages, per-component state, quality,
+// re-measurement outcome) plus the fleet's mechanics.
+struct FleetResult : attack::RecoveryPipelineResult {
   std::size_t workers_spawned = 0;
   std::size_t worker_deaths = 0;   // timeouts + crashes + nonzero exits
   std::size_t reassignments = 0;   // tasks re-queued after a death
@@ -144,9 +134,6 @@ struct FleetResult {
   std::size_t attack_shards = 0;   // attack tasks dispatched (all rounds)
   std::uint64_t archive_scans = 0; // summed worker scan deltas
   std::size_t telemetry_lines = 0; // lines written to telemetry_path
-
-  bool ok = false;
-  std::string error;
 };
 
 // Runs the fleet campaign. The victim is generated internally from

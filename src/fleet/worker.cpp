@@ -13,6 +13,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -191,17 +192,14 @@ TaskResult run_capture_task(const Session& s, const TaskSpec& spec,
   res.task_id = spec.task_id;
   res.kind = TaskKind::kCapture;
   res.span = task_span.context().span_id;
-  sca::CampaignConfig camp;
-  camp.num_traces = static_cast<std::size_t>(spec.capture_traces);
-  camp.device = s.cfg.attack.device;
-  camp.seed = spec.capture_seed;
-  camp.row = 0;
-  camp.faults = s.cfg.faults;
-  // Chunk damage keys on the MERGED archive's chunk ordinals; the
-  // coordinator applies it after the merge, exactly like
-  // run_campaign_sharded defers it past the shard files.
-  camp.faults.chunk_corrupt_rate = 0.0;
-  camp.fault_query_offset = static_cast<std::size_t>(spec.fault_query_offset);
+  // The shard recipe of sca::plan_shards, from the spec's lane: chunk
+  // damage waits for the finalized archive on the coordinator side.
+  sca::CampaignConfig base;
+  base.device = s.cfg.attack.device;
+  base.faults = s.cfg.faults;
+  const sca::CampaignConfig camp = sca::shard_campaign(
+      base, static_cast<std::size_t>(spec.capture_traces), spec.capture_seed,
+      static_cast<std::size_t>(spec.fault_query_offset));
   const auto campaign = sca::run_campaign_to_archive(s.victim.sk, camp, out_path);
   if (!campaign.ok) {
     res.error = "capture: " + campaign.error;
@@ -262,8 +260,6 @@ TaskResult run_attack_task(const Session& s, const TaskSpec& spec, FrameWriter& 
     }
   }
 
-  std::vector<attack::ComponentResult> results(n);
-  std::vector<std::size_t> accepted(n, 0);
   std::vector<std::size_t> todo;
   std::uint64_t done_before = 0;
   for (const std::uint32_t comp : spec.components) {
@@ -272,8 +268,6 @@ TaskResult run_attack_task(const Session& s, const TaskSpec& spec, FrameWriter& 
       return res;
     }
     if (st.done[comp] != 0) {
-      results[comp] = st.results[comp];
-      accepted[comp] = static_cast<std::size_t>(st.accepted_traces[comp]);
       ++done_before;
     } else {
       todo.push_back(comp);
@@ -282,33 +276,13 @@ TaskResult run_attack_task(const Session& s, const TaskSpec& spec, FrameWriter& 
 
   auto& scans = obs::MetricsRegistry::global().counter("attack.archive.scans");
   const std::uint64_t scans_before = scans.value();
-  const std::size_t batch_size =
-      s.cfg.checkpoint_every == 0 ? std::max<std::size_t>(1, todo.size())
-                                  : s.cfg.checkpoint_every;
   std::uint64_t completed_this_run = 0;
-  for (std::size_t b = 0; b < todo.size(); b += batch_size) {
-    const std::size_t end = std::min(todo.size(), b + batch_size);
-    const std::span<const std::size_t> batch(todo.data() + b, end - b);
-    attack::QualityReport q;
-    std::string err;
-    if (!attack::attack_components_gated(archive_path, s.cfg.quality, config_for,
-                                         s.pool.get(), batch, results, accepted, &q, &err)) {
-      res.error = "attack: " + err;
-      return res;
-    }
-    res.quality.add(q);
-    for (const std::size_t idx : batch) {
-      st.done[idx] = 1;
-      st.results[idx] = results[idx];
-      st.accepted_traces[idx] = accepted[idx];
-    }
+  attack::BatchHooks hooks;
+  hooks.after = [&](std::span<const std::size_t> batch) {
     completed_this_run += batch.size();
     if (!checkpoint_path.empty()) {
       std::string perr;
-      if (!attack::save_checkpoint(checkpoint_path, st, &perr)) {
-        res.error = perr;
-        return res;
-      }
+      if (!attack::save_checkpoint(checkpoint_path, st, &perr)) throw std::runtime_error(perr);
     }
     Progress p;
     p.task_id = spec.task_id;
@@ -324,6 +298,17 @@ TaskResult run_attack_task(const Session& s, const TaskSpec& spec, FrameWriter& 
       // batch, the kResult frame never goes out.
       std::raise(SIGKILL);
     }
+  };
+  try {
+    std::string err;
+    if (!attack::attack_checkpointed(archive_path, s.cfg.quality, config_for, s.pool.get(), todo,
+                                     s.cfg.checkpoint_every, st, res.quality, hooks, &err)) {
+      res.error = "attack: " + err;
+      return res;
+    }
+  } catch (const std::exception& e) {
+    res.error = e.what();
+    return res;
   }
 
   res.archive_scans = scans.value() - scans_before;
@@ -331,8 +316,8 @@ TaskResult run_attack_task(const Session& s, const TaskSpec& spec, FrameWriter& 
   for (const std::uint32_t comp : spec.components) {
     ComponentOutcome o;
     o.component = comp;
-    o.result = results[comp];
-    o.accepted = accepted[comp];
+    o.result = st.results[comp];
+    o.accepted = st.accepted_traces[comp];
     res.outcomes.push_back(std::move(o));
   }
   // The shard is done and reported; its checkpoint must not shadow a

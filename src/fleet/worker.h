@@ -23,13 +23,15 @@
 // at chunk granularity), and the merged archive is pushed in before
 // attack tasks.
 //
-// The worker wraps the existing single-process pipeline stages:
+// The worker is the far end of the fleet's stage executor: it runs the
+// two operations the stage plan (attack/stage_driver.h) delegates, with
+// the same code the in-process executor runs --
 //
-//   capture tasks  -> sca::run_campaign_to_archive with the exact
-//                     per-shard (seed, fault offset) the coordinator
-//                     computed from the shard plan, so shard files are
-//                     byte-identical to a single-process sharded run;
-//   attack tasks   -> attack::attack_components_gated over the task's
+//   capture tasks  -> sca::run_campaign_to_archive on the plan's
+//                     per-shard campaign (sca::shard_campaign) from the
+//                     spec's (seed, traces, fault offset), so shard
+//                     files are byte-identical to an in-process run;
+//   attack tasks   -> attack::attack_checkpointed over the task's
 //                     component ids in sub-batches of checkpoint_every,
 //                     persisting its own .fdckpt (at the task-stable
 //                     path from the spec) after every batch -- a

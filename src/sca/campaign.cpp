@@ -266,20 +266,24 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
   return out;
 }
 
-ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
-                                           const ShardedCampaignConfig& config,
-                                           const std::string& path, exec::ThreadPool* pool,
-                                           std::size_t traces_per_chunk) {
-  ShardedCampaignResult out;
-  if (config.base.num_traces == 0) {
-    out.error = "sharded campaign needs at least one query";
-    return out;
-  }
-  const auto plan = exec::static_chunks(config.base.num_traces,
-                                        std::max<std::size_t>(1, config.num_shards));
-  out.shards = plan.size();
+CampaignConfig shard_campaign(const CampaignConfig& base, std::size_t traces,
+                              std::uint64_t seed, std::size_t query_offset) {
+  CampaignConfig shard = base;
+  shard.num_traces = traces;
+  shard.seed = seed;
+  shard.fault_query_offset = query_offset;
+  shard.faults.chunk_corrupt_rate = 0.0;
+  return shard;
+}
 
-  obs::Span span("sca.campaign.sharded");
+ShardPlan plan_shards(const ShardedCampaignConfig& config, const std::string& path) {
+  ShardPlan plan;
+  plan.start = std::chrono::steady_clock::now();
+  plan.path = path;
+  plan.faults = config.base.faults;
+  plan.keep_shards = config.keep_shards;
+  const auto ranges = exec::static_chunks(config.base.num_traces,
+                                          std::max<std::size_t>(1, config.num_shards));
   // Campaign-global progress: shard-local callbacks report deltas into a
   // shared counter, and the user callback fires under a lock with the
   // aggregate count. Invocation order across shards is scheduler noise
@@ -289,27 +293,17 @@ ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
     std::atomic<std::size_t> done{0};
   };
   auto progress = std::make_shared<Progress>();
-
-  std::vector<ArchiveCampaignResult> shard_results(plan.size());
-  std::vector<std::string> shard_paths(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    shard_paths[i] = path + ".shard" + std::to_string(i);
-  }
-
-  exec::parallel_for(pool, plan.size(), [&](std::size_t i) {
-    CampaignConfig shard_cfg = config.base;
-    shard_cfg.num_traces = plan[i].size();
-    shard_cfg.seed = exec::split_seed(config.base.seed, i);
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
     // Faults key on campaign-global query indices so the shard plan
-    // never changes which queries fault; chunk damage is deferred to the
-    // merged file (chunk ordinals are only meaningful there).
-    shard_cfg.fault_query_offset = config.base.fault_query_offset + plan[i].begin;
-    shard_cfg.faults.chunk_corrupt_rate = 0.0;
+    // never changes which queries fault.
+    CampaignConfig shard = shard_campaign(config.base, ranges[i].size(),
+                                          exec::split_seed(config.base.seed, i),
+                                          config.base.fault_query_offset + ranges[i].begin);
     if (config.base.progress) {
       const std::size_t total = config.base.num_traces;
       auto last = std::make_shared<std::size_t>(0);
       const auto user = config.base.progress;
-      shard_cfg.progress = [progress, last, total, user](std::size_t done, std::size_t) {
+      shard.progress = [progress, last, total, user](std::size_t done, std::size_t) {
         const std::size_t global =
             progress->done.fetch_add(done - *last, std::memory_order_relaxed) +
             (done - *last);
@@ -318,14 +312,33 @@ ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
         user(global, total);
       };
     }
-    shard_results[i] = run_campaign_to_archive(sk, shard_cfg, shard_paths[i], traces_per_chunk);
-  });
+    plan.shards.push_back(std::move(shard));
+    plan.shard_paths.push_back(path + ".shard" + std::to_string(i));
+  }
+  return plan;
+}
 
+std::vector<ArchiveCampaignResult> run_shards(const falcon::SecretKey& sk, const ShardPlan& plan,
+                                              exec::ThreadPool* pool,
+                                              std::size_t traces_per_chunk) {
+  std::vector<ArchiveCampaignResult> results(plan.shards.size());
+  exec::parallel_for(pool, plan.shards.size(), [&](std::size_t i) {
+    results[i] = run_campaign_to_archive(sk, plan.shards[i], plan.shard_paths[i],
+                                         traces_per_chunk);
+  });
+  return results;
+}
+
+ShardedCampaignResult finalize_shards(const ShardPlan& plan,
+                                      std::span<const ArchiveCampaignResult> shard_results) {
+  ShardedCampaignResult out;
+  out.shards = plan.shards.size();
+  const std::vector<std::string>& shard_paths = plan.shard_paths;
   const auto cleanup = [&] {
-    if (config.keep_shards) return;
+    if (plan.keep_shards) return;
     for (const auto& p : shard_paths) std::remove(p.c_str());
   };
-  for (std::size_t i = 0; i < plan.size(); ++i) {
+  for (std::size_t i = 0; i < shard_results.size(); ++i) {
     if (!shard_results[i].ok) {
       out.error = "shard " + std::to_string(i) + ": " + shard_results[i].error;
       cleanup();
@@ -335,48 +348,54 @@ ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
     out.records += shard_results[i].records;
   }
 
-  // Finalize; the barrier above guarantees every shard file is complete.
   // Several shards merge in shard-index order -- the deterministic
   // reduction. A single fresh shard is clean and writer-chunked, so its
   // merge would only set kFlagMerged: patch the flag and rename the file
   // into place (copy it when the shard is kept) -- the same bytes.
-  const bool single = plan.size() == 1;
+  const bool single = shard_paths.size() == 1;
   const auto finalize_start = std::chrono::steady_clock::now();
   std::string finalize_error;
   const bool finalized =
-      single ? tracestore::promote_shard(shard_paths[0], path, config.keep_shards,
+      single ? tracestore::promote_shard(shard_paths[0], plan.path, plan.keep_shards,
                                          &finalize_error)
-             : tracestore::merge_archives(shard_paths, path, &finalize_error);
-  const double finalize_us = std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - finalize_start)
-                                .count();
+             : tracestore::merge_archives(shard_paths, plan.path, &finalize_error);
+  const auto finalize_end = std::chrono::steady_clock::now();
+  cleanup();
   if (!finalized) {
     out.error = (single ? "finalize: " : "merge: ") + finalize_error;
-    cleanup();
     return out;
   }
-  cleanup();
-  // Chunk damage applies to the merged file: its chunk ordinals are the
-  // experiment-visible ones (a pure function of key/config/num_shards),
+  // Chunk damage applies to the finalized file: its chunk ordinals are
+  // the experiment-visible ones (a pure function of key/config/shards),
   // so the damaged byte set is deterministic too.
-  if (config.base.faults.chunk_corrupt_rate > 0.0) {
+  if (plan.faults.chunk_corrupt_rate > 0.0) {
     std::string cerr;
-    if (!corrupt_archive_chunks(path, FaultPlan(config.base.faults), nullptr, &cerr)) {
+    if (!corrupt_archive_chunks(plan.path, FaultPlan(plan.faults), nullptr, &cerr)) {
       out.error = cerr;
       return out;
     }
   }
-  if (config.keep_shards) out.shard_paths = std::move(shard_paths);
+  if (plan.keep_shards) out.shard_paths = shard_paths;
+  const auto us = [](auto d) { return std::chrono::duration<double, std::micro>(d).count(); };
   obs::event("sca.campaign.sharded")
       .with("shards", out.shards)
       .with("queries", out.queries)
       .with("records", out.records)
       .with("finalize", single ? "rename" : "merge")
-      .with("finalize_us", finalize_us)
-      .with("wall_us", span.elapsed_us())
+      .with("finalize_us", us(finalize_end - finalize_start))
+      .with("wall_us", us(std::chrono::steady_clock::now() - plan.start))
       .emit();
   out.ok = true;
   return out;
+}
+
+ShardedCampaignResult run_campaign_sharded(const falcon::SecretKey& sk,
+                                           const ShardedCampaignConfig& config,
+                                           const std::string& path, exec::ThreadPool* pool,
+                                           std::size_t traces_per_chunk) {
+  obs::Span span("sca.campaign.sharded");
+  const ShardPlan plan = plan_shards(config, path);
+  return finalize_shards(plan, run_shards(sk, plan, pool, traces_per_chunk));
 }
 
 bool load_trace_sets_for(tracestore::ArchiveReader& reader,

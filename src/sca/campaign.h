@@ -9,6 +9,7 @@
 // public code, so for every captured window it knows the exact 64-bit
 // operand that was multiplied with the secret FFT(f) coefficient.
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -115,12 +116,11 @@ struct ArchiveCampaignResult {
 // shard i runs `run_campaign_to_archive` under the derived seed
 // exec::split_seed(config.seed, i) -- an independent victim/device
 // randomness stream per shard, fixed by (seed, shard index) alone.
-// Shards execute on the pool in any order; the final archive is
-// `tracestore::merge_archives` over the shard files in shard-index
-// order, so its bytes are a pure function of (key, config, num_shards)
-// -- identical at ANY worker count, including the serial pool-less
-// path. tests/test_exec.cpp pins this byte-for-byte at 1, 2, and 7
-// workers.
+// Shards execute in any order -- on a pool (run_shards) or in fleet
+// workers -- and finalize_shards reduces them in shard-index order, so
+// the archive's bytes are a pure function of (key, config, num_shards)
+// at ANY worker count. tests/test_exec.cpp pins this byte-for-byte at
+// 1, 2, and 7 workers, tests/test_fleet.cpp across worker processes.
 //
 // Note the shard count, not the worker count, is part of the
 // experiment's identity: resizing the pool never changes the data,
@@ -141,10 +141,42 @@ struct ShardedCampaignResult {
   std::string error;
 };
 
-// Runs the sharded campaign on `pool` (null -> serial, same results)
-// and merges into `path`. Progress callbacks of `config.base` fire with
-// campaign-global query counts; under a real pool they arrive from
-// worker threads (the obs layer and the callback must be thread-safe).
+// One shard's campaign: `base` narrowed to `traces` queries under
+// `seed`, faults keyed from global query `query_offset`, chunk damage
+// deferred to the finalized archive. plan_shards and fleet workers
+// both build shards with it.
+[[nodiscard]] CampaignConfig shard_campaign(const CampaignConfig& base, std::size_t traces,
+                                            std::uint64_t seed, std::size_t query_offset);
+
+struct ShardPlan {
+  std::vector<CampaignConfig> shards;    // in shard-index order
+  std::vector<std::string> shard_paths;  // shard i writes <path>.shard<i>
+  std::string path;                      // the archive finalize_shards writes
+  FaultConfig faults;                    // finalize applies its chunk damage
+  bool keep_shards = false;
+  std::chrono::steady_clock::time_point start;  // the finalize event's wall_us counts from here
+};
+
+// Cuts `config` into its shards. Progress callbacks of `config.base`
+// are wrapped so they fire with campaign-global query counts (from
+// worker threads under a pool; the callback must be thread-safe).
+[[nodiscard]] ShardPlan plan_shards(const ShardedCampaignConfig& config, const std::string& path);
+
+// Writes every shard of `plan` on `pool` (null -> serial, same files);
+// one result per shard, in shard-index order.
+[[nodiscard]] std::vector<ArchiveCampaignResult> run_shards(
+    const falcon::SecretKey& sk, const ShardPlan& plan, exec::ThreadPool* pool,
+    std::size_t traces_per_chunk = tracestore::kDefaultTracesPerChunk);
+
+// Turns the written shard files into plan.path -- one shard is promoted
+// by rename (copied under keep_shards), several merge in shard-index
+// order -- then applies the plan's chunk damage and emits
+// `sca.campaign.sharded`. Shard files go unless keep_shards.
+[[nodiscard]] ShardedCampaignResult finalize_shards(
+    const ShardPlan& plan, std::span<const ArchiveCampaignResult> shard_results);
+
+// plan_shards + run_shards + finalize_shards: the whole sharded
+// campaign in this process, on `pool` (null -> serial, same archive).
 [[nodiscard]] ShardedCampaignResult run_campaign_sharded(
     const falcon::SecretKey& sk, const ShardedCampaignConfig& config, const std::string& path,
     exec::ThreadPool* pool, std::size_t traces_per_chunk = tracestore::kDefaultTracesPerChunk);

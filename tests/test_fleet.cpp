@@ -26,6 +26,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "attack/checkpoint.h"
@@ -35,6 +36,7 @@
 #include "fleet/coordinator.h"
 #include "fleet/protocol.h"
 #include "obs/jsonl.h"
+#include "obs/sink.h"
 
 namespace fd {
 namespace {
@@ -391,64 +393,135 @@ TEST(FleetProtocol, TaskAndResultRoundTrip) {
 TEST(Fleet, BitIdenticalToSingleProcessAtAnyWorkerCount) {
   const auto victim = fleet_victim();
 
-  // Single-process reference: checkpointed so the attack stage batches
-  // in fours, same as the fleet's component shards -- then the
-  // archive-scan totals must agree too.
-  TempFile ref_tmp("fleet_ref.fdtrace");
+  // Two capture shards (merged) and one (promoted by rename): both
+  // finalize paths must give the pipeline's archive bytes.
+  for (const std::size_t shards : {2u, 1u}) {
+    SCOPED_TRACE(std::to_string(shards) + " capture shards");
+    // Single-process reference: checkpointed so the attack stage batches
+    // in fours, same as the fleet's component shards -- then the
+    // archive-scan totals must agree too.
+    TempFile ref_tmp("fleet_ref.fdtrace");
+    auto ref_cfg = base_pipeline(ref_tmp.path);
+    ref_cfg.capture_shards = shards;
+    ref_cfg.checkpoint = true;
+    ref_cfg.keep_archive = true;
+    const auto ref = attack::run_recovery_pipeline(victim, ref_cfg);
+    ASSERT_TRUE(ref.ok) << ref.error;
+    ASSERT_TRUE(ref.recovery.f_exact);
+    ASSERT_TRUE(ref.recovery.forgery_verified);
+    const auto ref_archive = read_file(ref_tmp.path);
+    ASSERT_FALSE(ref_archive.empty());
+
+    std::vector<std::vector<std::uint8_t>> first_results;
+    std::vector<std::size_t> first_accepted;
+    std::uint64_t first_scans = 0;
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      TempFile tmp("fleet_w" + std::to_string(workers) + ".fdtrace");
+      auto fc = base_fleet(tmp.path, workers);
+      fc.pipeline.capture_shards = shards;
+      fc.pipeline.keep_archive = true;
+      const auto res = fleet::run_fleet(fc);
+      ASSERT_TRUE(res.ok) << workers << " workers: " << res.error;
+      EXPECT_EQ(res.workers_spawned, workers);
+      EXPECT_EQ(res.worker_deaths, 0u);
+      EXPECT_EQ(res.attack_shards, 2u);
+
+      // The recovered key is byte-identical to the single-process run.
+      EXPECT_EQ(res.recovery.recovered_f, ref.recovery.recovered_f) << workers << " workers";
+      EXPECT_TRUE(res.recovery.f_exact);
+      EXPECT_TRUE(res.recovery.forgery_verified);
+      EXPECT_EQ(res.recovery.components_correct, ref.recovery.components_correct);
+      EXPECT_EQ(res.captured_records, ref.captured_records);
+
+      // So is the captured archive (shard seeds + merge order replicate
+      // run_campaign_sharded exactly).
+      EXPECT_EQ(read_file(tmp.path), ref_archive) << workers << " workers";
+
+      // Per-component results and accepted sets: identical across worker
+      // counts, compared as serialized bytes (bit-exact doubles).
+      ASSERT_EQ(res.results.size(), victim.sk.params.n);
+      std::vector<std::vector<std::uint8_t>> bytes;
+      bytes.reserve(res.results.size());
+      for (const auto& r : res.results) bytes.push_back(result_bytes(r));
+      if (first_results.empty()) {
+        first_results = std::move(bytes);
+        first_accepted = res.accepted_traces;
+        first_scans = res.archive_scans;
+      } else {
+        EXPECT_EQ(bytes, first_results) << workers << " workers";
+        EXPECT_EQ(res.accepted_traces, first_accepted) << workers << " workers";
+        EXPECT_EQ(res.archive_scans, first_scans) << workers << " workers";
+      }
+    }
+    // Scan parity with the checkpointed pipeline: two batches of four ->
+    // two single-pass scans, in process or across it. (Both sides count
+    // zero when the build has FD_OBS=OFF -- the equality still pins.)
+    EXPECT_EQ(first_scans, 2u * (FD_OBS_ENABLED ? 1u : 0u));
+  }
+}
+
+// Adaptive re-measurement through the fleet: too few traces for the
+// confidence bar, so at least one top-up round is captured, merged and
+// re-attacked. Every outcome the re-measurement controller decides must
+// equal the single-process pipeline's.
+TEST(Fleet, AdaptiveRemeasurementMatchesSingleProcess) {
+  const auto victim = fleet_victim();
+  const auto adaptive = [](attack::RecoveryPipelineConfig& cfg) {
+    cfg.attack.num_traces = 40;
+    cfg.adaptive = true;
+    cfg.remeasure.max_rounds = 2;
+    cfg.remeasure.round_traces = 30;
+  };
+
+  // The single-process reference; its per-component bits and trace
+  // counts come from the last "ep.component" event of each component.
+  obs::CollectingSink sink;
+  TempFile ref_tmp("fleet_adaptive_ref.fdtrace");
   auto ref_cfg = base_pipeline(ref_tmp.path);
-  ref_cfg.checkpoint = true;
+  adaptive(ref_cfg);
   ref_cfg.keep_archive = true;
-  const auto ref = attack::run_recovery_pipeline(victim, ref_cfg);
+  attack::RecoveryPipelineResult ref;
+  {
+    obs::ScopedTelemetrySink scoped(&sink);
+    ref = attack::run_recovery_pipeline(victim, ref_cfg);
+  }
   ASSERT_TRUE(ref.ok) << ref.error;
-  ASSERT_TRUE(ref.recovery.f_exact);
-  ASSERT_TRUE(ref.recovery.forgery_verified);
-  const auto ref_archive = read_file(ref_tmp.path);
-  ASSERT_FALSE(ref_archive.empty());
+  ASSERT_GE(ref.remeasure_rounds, 1u) << "the shape must force a re-measurement round";
+  const std::size_t n = victim.sk.params.n;
+  std::vector<std::uint64_t> ref_bits(n, 0);
+  std::vector<std::size_t> ref_traces(n, 0);
+  for (const auto& ev : sink.snapshot()) {
+    if (ev.name != "ep.component") continue;
+    std::size_t slot = 0;
+    char part[4] = {};
+    ASSERT_EQ(std::sscanf(ev.find("label")->s.c_str(), "slot%zu.%2s", &slot, part), 2);
+    const std::size_t idx = slot + (std::string_view(part) == "im" ? n / 2 : 0);
+    ref_bits[idx] = ev.find("bits")->u;
+    ref_traces[idx] = static_cast<std::size_t>(ev.find("traces")->u);
+  }
 
-  std::vector<std::vector<std::uint8_t>> first_results;
-  std::vector<std::size_t> first_accepted;
-  std::uint64_t first_scans = 0;
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    TempFile tmp("fleet_w" + std::to_string(workers) + ".fdtrace");
-    auto fc = base_fleet(tmp.path, workers);
-    fc.pipeline.keep_archive = true;
-    const auto res = fleet::run_fleet(fc);
-    ASSERT_TRUE(res.ok) << workers << " workers: " << res.error;
-    EXPECT_EQ(res.workers_spawned, workers);
-    EXPECT_EQ(res.worker_deaths, 0u);
-    EXPECT_EQ(res.attack_shards, 2u);
+  TempFile tmp("fleet_adaptive.fdtrace");
+  auto fc = base_fleet(tmp.path, 2);
+  adaptive(fc.pipeline);
+  fc.pipeline.keep_archive = true;
+  const auto res = fleet::run_fleet(fc);
+  ASSERT_TRUE(res.ok) << res.error;
 
-    // The recovered key is byte-identical to the single-process run.
-    EXPECT_EQ(res.recovery.recovered_f, ref.recovery.recovered_f) << workers << " workers";
-    EXPECT_TRUE(res.recovery.f_exact);
-    EXPECT_TRUE(res.recovery.forgery_verified);
-    EXPECT_EQ(res.recovery.components_correct, ref.recovery.components_correct);
-    EXPECT_EQ(res.captured_records, ref.captured_records);
-
-    // So is the captured archive (shard seeds + merge order replicate
-    // run_campaign_sharded exactly).
-    EXPECT_EQ(read_file(tmp.path), ref_archive) << workers << " workers";
-
-    // Per-component results and accepted sets: identical across worker
-    // counts, compared as serialized bytes (bit-exact doubles).
-    ASSERT_EQ(res.results.size(), victim.sk.params.n);
-    std::vector<std::vector<std::uint8_t>> bytes;
-    bytes.reserve(res.results.size());
-    for (const auto& r : res.results) bytes.push_back(result_bytes(r));
-    if (first_results.empty()) {
-      first_results = std::move(bytes);
-      first_accepted = res.accepted_traces;
-      first_scans = res.archive_scans;
-    } else {
-      EXPECT_EQ(bytes, first_results) << workers << " workers";
-      EXPECT_EQ(res.accepted_traces, first_accepted) << workers << " workers";
-      EXPECT_EQ(res.archive_scans, first_scans) << workers << " workers";
+  EXPECT_EQ(res.remeasure_rounds, ref.remeasure_rounds);
+  EXPECT_EQ(res.flagged_components, ref.flagged_components);
+  EXPECT_EQ(res.partial, ref.partial);
+  EXPECT_EQ(res.captured_records, ref.captured_records);
+  EXPECT_EQ(read_file(tmp.path), read_file(ref_tmp.path));
+  EXPECT_EQ(res.recovery.recovered_f, ref.recovery.recovered_f);
+  EXPECT_EQ(res.recovery.components_correct, ref.recovery.components_correct);
+  EXPECT_EQ(res.recovery.forgery_verified, ref.recovery.forgery_verified);
+  ASSERT_EQ(res.results.size(), n);
+  if (FD_OBS_ENABLED) {
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(res.results[i].bits, ref_bits[i]) << "component " << i;
+      EXPECT_EQ(res.accepted_traces[i], ref_traces[i]) << "component " << i;
     }
   }
-  // Scan parity with the checkpointed pipeline: two batches of four ->
-  // two single-pass scans, in process or across it. (Both sides count
-  // zero when the build has FD_OBS=OFF -- the equality still pins.)
-  EXPECT_EQ(first_scans, 2u * (FD_OBS_ENABLED ? 1u : 0u));
 }
 
 TEST(Fleet, SigkillMidShardCompletesViaReassignment) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "attack/hypothesis.h"
+#include "attack/recovery_pipeline.h"
 #include "attack/streaming_cpa.h"
 #include "common/rng.h"
 #include "falcon/falcon.h"
@@ -728,6 +729,50 @@ TEST(ObsFollow, ReopensAfterRotation) {
   EXPECT_NE(out.find("1 rotations"), std::string::npos) << out;
   std::remove(path.c_str());
   std::remove(rotated.c_str());
+}
+
+// A single-process adaptive run's re-measurement rounds reach the
+// fd-report summary through the same "attack.remeasure.round" event a
+// fleet run emits.
+TEST(ObsReport, CountsSingleProcessRemeasureRounds) {
+  const std::string jsonl = ::testing::TempDir() + "fd_report_remeasure.jsonl";
+  const std::string archive = ::testing::TempDir() + "fd_report_remeasure.fdtrace";
+  ChaCha20Prng rng("victim key seed");
+  const auto victim = falcon::keygen(3, rng);
+  attack::RecoveryPipelineConfig cfg;
+  cfg.attack.num_traces = 40;  // below the confidence bar: forces top-up rounds
+  cfg.attack.adversarial_random = 100;
+  cfg.attack.seed = 0xFD06;
+  cfg.archive_path = archive;
+  cfg.capture_shards = 2;
+  cfg.adaptive = true;
+  cfg.remeasure.max_rounds = 2;
+  cfg.remeasure.round_traces = 30;
+  attack::RecoveryPipelineResult res;
+  {
+    obs::JsonLinesSink sink(jsonl);
+    ASSERT_TRUE(sink.ok());
+    obs::ScopedTelemetrySink scoped(&sink);
+    res = attack::run_recovery_pipeline(victim, cfg);
+  }
+  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_GE(res.remeasure_rounds, 1u);
+
+  const std::string cmd = std::string(FD_REPORT_BIN) + " " + jsonl + " 2>&1";
+  std::FILE* pipe = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[512];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+  const int status = ::pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+  if (FD_OBS_ENABLED) {
+    EXPECT_NE(out.find("re-measurement rounds: " + std::to_string(res.remeasure_rounds)),
+              std::string::npos)
+        << out;
+  }
+  std::remove(jsonl.c_str());
 }
 
 #endif  // FD_REPORT_BIN

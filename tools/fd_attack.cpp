@@ -261,6 +261,89 @@ bool parse(int argc, char** argv, Options& opt) {
          opt.backend.profile_traces > 0;
 }
 
+// A flat JSON object, built key by key.
+class JsonObject {
+ public:
+  void raw(std::string_view key, const std::string& value) {
+    if (!buf_.empty()) buf_ += ',';
+    buf_ += '"';
+    buf_ += jsonl::escape(key);
+    buf_ += "\":";
+    buf_ += value;
+  }
+  void str(std::string_view key, std::string_view value) {
+    raw(key, '"' + jsonl::escape(value) + '"');
+  }
+  void num(std::string_view key, std::size_t value) { raw(key, std::to_string(value)); }
+  void flag(std::string_view key, bool value) { raw(key, value ? "true" : "false"); }
+  void print() const { std::printf("{%s}\n", buf_.c_str()); }
+
+ private:
+  std::string buf_;
+};
+
+// A failed run: the error and how far each stage got, on stderr.
+int report_failure(const attack::RecoveryPipelineResult& res) {
+  std::fprintf(stderr, "fd-attack: %s\n", res.error.c_str());
+  for (const auto& stage : res.stages) {
+    std::fprintf(stderr, "  stage %-9s %s\n", stage.name.c_str(),
+                 !stage.ran ? "skipped" : (stage.ok ? "done" : stage.error.c_str()));
+  }
+  return 2;
+}
+
+// The outcome both modes' results carry (fleet::FleetResult extends the
+// pipeline's result): appended to the mode's JSON object and printed,
+// or printed as text lines. Returns the exit code -- 0 iff the forged
+// signature verifies.
+int report_outcome(const attack::RecoveryPipelineResult& res, bool json, JsonObject& obj) {
+  if (json) {
+    obj.num("records", res.captured_records);
+    obj.num("components_correct", res.recovery.components_correct);
+    obj.num("components_total", res.recovery.components_total);
+    obj.flag("f_exact", res.recovery.f_exact);
+    obj.num("remeasure_rounds", res.remeasure_rounds);
+    obj.flag("partial", res.partial);
+    obj.flag("forgery_verified", res.recovery.forgery_verified);
+    for (const auto& stage : res.stages) {
+      std::string ms;
+      jsonl::append_number(ms, stage.wall_ms);
+      obj.raw("stage_" + stage.name + "_ms", ms);
+    }
+    obj.print();
+  } else {
+    for (const auto& stage : res.stages) {
+      std::printf("  stage %-9s %s (%.1f ms)\n", stage.name.c_str(),
+                  stage.ran ? "done" : "skipped", stage.wall_ms);
+    }
+    std::printf("captured records: %zu\n", res.captured_records);
+    const attack::QualityReport& q = res.quality;
+    if (q.total > 0) {
+      std::printf("quality gate: %zu/%zu traces accepted (%zu saturated, %zu energy, "
+                  "%zu misaligned rejected; %zu realigned)\n",
+                  q.accepted, q.total, q.rejected_saturated, q.rejected_energy,
+                  q.rejected_alignment, q.realigned);
+    }
+    if (res.resumed) std::printf("resumed from checkpoint: %s\n", res.checkpoint_path.c_str());
+    if (res.remeasure_rounds > 0 || res.capture_attempts > 1) {
+      std::printf("adaptive re-measurement: %zu extra round%s, %zu capture attempt%s\n",
+                  res.remeasure_rounds, res.remeasure_rounds == 1 ? "" : "s",
+                  res.capture_attempts, res.capture_attempts == 1 ? "" : "s");
+    }
+    if (res.partial) {
+      std::printf("PARTIAL: %zu component%s flagged\n", res.flagged_components.size(),
+                  res.flagged_components.size() == 1 ? "" : "s");
+    }
+    std::printf("components recovered exactly: %zu / %zu\n", res.recovery.components_correct,
+                res.recovery.components_total);
+    std::printf("f recovered exactly: %s\n", res.recovery.f_exact ? "YES" : "no");
+    std::printf("NTRU equation re-solved: %s\n", res.recovery.ntru_solved ? "YES" : "no");
+    std::printf("forged signature verified by victim's PUBLIC key: %s\n",
+                res.recovery.forgery_verified ? "YES -- key fully compromised" : "no");
+  }
+  return res.recovery.forgery_verified ? 0 : 1;
+}
+
 // Fleet mode: same experiment, N worker subprocesses, same key.
 int run_fleet_main(const Options& opt, const attack::RecoveryPipelineConfig& cfg,
                    const char* argv0) {
@@ -291,42 +374,19 @@ int run_fleet_main(const Options& opt, const attack::RecoveryPipelineConfig& cfg
                 opt.threads == 1 ? "" : "s");
   }
   const auto res = fleet::run_fleet(fc);
-  if (!res.ok) {
-    std::fprintf(stderr, "fd-attack: %s\n", res.error.c_str());
-    return 2;
-  }
+  if (!res.ok) return report_failure(res);
+  JsonObject obj;
   if (opt.json) {
-    std::string buf;
-    const auto field = [&](std::string_view key, const std::string& v) {
-      if (!buf.empty()) buf += ',';
-      buf += '"';
-      buf += jsonl::escape(key);
-      buf += "\":";
-      buf += v;
-    };
-    field("backend", '"' + std::string(distinguisher::backend_name(opt.backend.backend)) + '"');
-    field("workers", std::to_string(opt.fleet));
-    field("records", std::to_string(res.captured_records));
-    field("components_correct", std::to_string(res.recovery.components_correct));
-    field("components_total", std::to_string(res.recovery.components_total));
-    field("f_exact", res.recovery.f_exact ? "true" : "false");
-    field("workers_spawned", std::to_string(res.workers_spawned));
-    field("worker_deaths", std::to_string(res.worker_deaths));
-    field("reassignments", std::to_string(res.reassignments));
-    field("remote_workers", std::to_string(res.remote_workers));
-    field("reconnects", std::to_string(res.reconnects));
-    field("staged_chunks", std::to_string(res.staged_chunks));
-    field("attack_shards", std::to_string(res.attack_shards));
-    field("remeasure_rounds", std::to_string(res.remeasure_rounds));
-    field("partial", res.partial ? "true" : "false");
-    field("forgery_verified", res.recovery.forgery_verified ? "true" : "false");
-    std::printf("{%s}\n", buf.c_str());
+    obj.str("backend", distinguisher::backend_name(opt.backend.backend));
+    obj.num("workers", opt.fleet);
+    obj.num("workers_spawned", res.workers_spawned);
+    obj.num("worker_deaths", res.worker_deaths);
+    obj.num("reassignments", res.reassignments);
+    obj.num("remote_workers", res.remote_workers);
+    obj.num("reconnects", res.reconnects);
+    obj.num("staged_chunks", res.staged_chunks);
+    obj.num("attack_shards", res.attack_shards);
   } else {
-    for (const auto& stage : res.stages) {
-      std::printf("  stage %-9s %s (%.1f ms)\n", stage.name.c_str(),
-                  stage.ran ? "done" : "skipped", stage.wall_ms);
-    }
-    std::printf("captured records: %zu\n", res.captured_records);
     std::printf("fleet: %zu spawned, %zu died, %zu reassignment%s, %zu attack shard%s\n",
                 res.workers_spawned, res.worker_deaths, res.reassignments,
                 res.reassignments == 1 ? "" : "s", res.attack_shards,
@@ -337,17 +397,8 @@ int run_fleet_main(const Options& opt, const attack::RecoveryPipelineConfig& cfg
                   res.reconnects == 1 ? "" : "s", res.staged_chunks,
                   res.staged_chunks == 1 ? "" : "s");
     }
-    if (res.partial) {
-      std::printf("PARTIAL: %zu component%s flagged\n", res.flagged_components.size(),
-                  res.flagged_components.size() == 1 ? "" : "s");
-    }
-    std::printf("components recovered exactly: %zu / %zu\n", res.recovery.components_correct,
-                res.recovery.components_total);
-    std::printf("f recovered exactly: %s\n", res.recovery.f_exact ? "YES" : "no");
-    std::printf("forged signature verified by victim's PUBLIC key: %s\n",
-                res.recovery.forgery_verified ? "YES -- key fully compromised" : "no");
   }
-  return res.recovery.forgery_verified ? 0 : 1;
+  return report_outcome(res, opt.json, obj);
 }
 
 }  // namespace
@@ -469,89 +520,33 @@ int main(int argc, char** argv) {
     return 130;
   }
   if (!res.ok) {
-    std::fprintf(stderr, "fd-attack: %s\n", res.error.c_str());
-    for (const auto& stage : res.stages) {
-      std::fprintf(stderr, "  stage %-9s %s\n", stage.name.c_str(),
-                   !stage.ran ? "skipped" : (stage.ok ? "done" : stage.error.c_str()));
-    }
+    report_failure(res);
     if (cfg.checkpoint || cfg.resume) {
       std::fprintf(stderr, "fd-attack: progress kept in %s -- rerun with --resume\n",
                    res.checkpoint_path.c_str());
     }
     return 2;
   }
-
+  JsonObject obj;
   if (opt.json) {
-    std::string buf;
-    const auto field = [&](std::string_view key, const std::string& v, bool quote) {
-      if (!buf.empty()) buf += ',';
-      buf += '"';
-      buf += jsonl::escape(key);
-      buf += "\":";
-      if (quote) buf += '"';
-      buf += v;
-      if (quote) buf += '"';
-    };
-    field("n", std::to_string(victim.pk.params.n), false);
-    field("traces", std::to_string(opt.traces), false);
-    field("shards", std::to_string(opt.shards), false);
-    field("threads", std::to_string(opt.threads), false);
-    field("cpa_batch", std::to_string(opt.batch), false);
-    field("cpa_shards", std::to_string(opt.cpa_shards), false);
-    field("backend", std::string(distinguisher::backend_name(opt.backend.backend)), true);
-    field("cpa_kernel", attack::cpa_simd_name(attack::cpa_active_simd()), true);
-    field("records", std::to_string(res.captured_records), false);
-    field("components_correct", std::to_string(res.recovery.components_correct), false);
-    field("components_total", std::to_string(res.recovery.components_total), false);
-    field("f_exact", res.recovery.f_exact ? "true" : "false", false);
-    field("quality_screened", std::to_string(res.quality.total), false);
-    field("quality_accepted", std::to_string(res.quality.accepted), false);
-    field("quality_rejected_saturated", std::to_string(res.quality.rejected_saturated), false);
-    field("quality_rejected_energy", std::to_string(res.quality.rejected_energy), false);
-    field("quality_rejected_alignment", std::to_string(res.quality.rejected_alignment), false);
-    field("quality_realigned", std::to_string(res.quality.realigned), false);
-    field("capture_attempts", std::to_string(res.capture_attempts), false);
-    field("remeasure_rounds", std::to_string(res.remeasure_rounds), false);
-    field("flagged_components", std::to_string(res.flagged_components.size()), false);
-    field("partial", res.partial ? "true" : "false", false);
-    field("resumed", res.resumed ? "true" : "false", false);
-    field("ntru_solved", res.recovery.ntru_solved ? "true" : "false", false);
-    field("forgery_verified", res.recovery.forgery_verified ? "true" : "false", false);
-    for (const auto& stage : res.stages) {
-      std::string ms;
-      jsonl::append_number(ms, stage.wall_ms);
-      field("stage_" + stage.name + "_ms", ms, false);
-    }
-    std::printf("{%s}\n", buf.c_str());
-  } else {
-    for (const auto& stage : res.stages) {
-      std::printf("  stage %-8s %s (%.1f ms)\n", stage.name.c_str(),
-                  stage.ran ? "done" : "skipped", stage.wall_ms);
-    }
-    std::printf("captured records: %zu\n", res.captured_records);
-    if (res.quality.total > 0) {
-      std::printf("quality gate: %zu/%zu traces accepted (%zu saturated, %zu energy, "
-                  "%zu misaligned rejected; %zu realigned)\n",
-                  res.quality.accepted, res.quality.total, res.quality.rejected_saturated,
-                  res.quality.rejected_energy, res.quality.rejected_alignment,
-                  res.quality.realigned);
-    }
-    if (res.resumed) std::printf("resumed from checkpoint: %s\n", res.checkpoint_path.c_str());
-    if (res.remeasure_rounds > 0 || res.capture_attempts > 1) {
-      std::printf("adaptive re-measurement: %zu extra round%s, %zu capture attempt%s\n",
-                  res.remeasure_rounds, res.remeasure_rounds == 1 ? "" : "s",
-                  res.capture_attempts, res.capture_attempts == 1 ? "" : "s");
-    }
-    if (res.partial) {
-      std::printf("PARTIAL: %zu component%s below the confidence bar at budget end\n",
-                  res.flagged_components.size(), res.flagged_components.size() == 1 ? "" : "s");
-    }
-    std::printf("components recovered exactly: %zu / %zu\n", res.recovery.components_correct,
-                res.recovery.components_total);
-    std::printf("f recovered exactly: %s\n", res.recovery.f_exact ? "YES" : "no");
-    std::printf("NTRU equation re-solved: %s\n", res.recovery.ntru_solved ? "YES" : "no");
-    std::printf("forged signature verified by victim's PUBLIC key: %s\n",
-                res.recovery.forgery_verified ? "YES -- key fully compromised" : "no");
+    obj.num("n", victim.pk.params.n);
+    obj.num("traces", opt.traces);
+    obj.num("shards", opt.shards);
+    obj.num("threads", opt.threads);
+    obj.num("cpa_batch", opt.batch);
+    obj.num("cpa_shards", opt.cpa_shards);
+    obj.str("backend", distinguisher::backend_name(opt.backend.backend));
+    obj.str("cpa_kernel", attack::cpa_simd_name(attack::cpa_active_simd()));
+    obj.num("quality_screened", res.quality.total);
+    obj.num("quality_accepted", res.quality.accepted);
+    obj.num("quality_rejected_saturated", res.quality.rejected_saturated);
+    obj.num("quality_rejected_energy", res.quality.rejected_energy);
+    obj.num("quality_rejected_alignment", res.quality.rejected_alignment);
+    obj.num("quality_realigned", res.quality.realigned);
+    obj.num("capture_attempts", res.capture_attempts);
+    obj.num("flagged_components", res.flagged_components.size());
+    obj.flag("resumed", res.resumed);
+    obj.flag("ntru_solved", res.recovery.ntru_solved);
   }
-  return res.recovery.forgery_verified ? 0 : 1;
+  return report_outcome(res, opt.json, obj);
 }
