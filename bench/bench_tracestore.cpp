@@ -1,6 +1,7 @@
 // Trace-archive throughput: write and stream-read bandwidth of the
-// .fdtrace format, plus streamed-CPA (disk) vs in-memory CPA wall time
-// on the same seeded campaign -- the cost of capture-once/attack-many.
+// .fdtrace format, plus the in-memory CPA wall time on the same seeded
+// campaign and a check that the archive-loaded slot ranks identically
+// -- the cost and the contract of capture-once/attack-many.
 //
 //   ./bench_tracestore [logn] [num_traces] [--json <path>]
 
@@ -8,7 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "attack/streaming_cpa.h"
+#include "attack/cpa.h"
 #include "bench_harness.h"
 #include "bench_util.h"
 #include "common/rng.h"
@@ -98,36 +99,36 @@ int main(int argc, char** argv) {
   all.clear();
   all.shrink_to_fit();
 
-  // Exponent-phase CPA on one slot: streamed from disk vs in memory.
-  attack::StreamingCpaSpec spec;
-  spec.slot = 1;
+  // Exponent-phase CPA on one slot: loaded back from the archive vs
+  // the same campaign re-run in memory.
+  attack::CpaSpec spec;
   spec.sample_offsets = {sca::window::kOffExpSum};
   for (std::uint32_t e = 1005; e <= 1053; ++e) spec.guesses.push_back(e);
   spec.model = [](std::uint32_t guess, const attack::KnownOperand& k) {
     return attack::hyp_exponent(guess, k);
   };
-
-  t0 = Clock::now();
-  const auto streamed = attack::run_cpa_streaming(reader, spec);
-  const double cpa_stream_s = seconds_since(t0);
+  const std::size_t slots[] = {1};
+  std::vector<sca::TraceSet> loaded;
+  if (!sca::load_trace_sets_for(reader, slots, loaded)) {
+    std::fprintf(stderr, "load failed: %s\n", reader.error().c_str());
+    return 1;
+  }
+  const auto from_disk = attack::run_cpa(loaded[0], spec);
 
   t0 = Clock::now();
   const auto sets = sca::run_full_campaign(kp.sk, cfg);
   const double recapture_s = seconds_since(t0);
   t0 = Clock::now();
-  const auto inmem = attack::run_cpa_inmemory(sets[spec.slot], spec);
+  const auto inmem = attack::run_cpa(sets[slots[0]], spec);
   const double cpa_mem_s = seconds_since(t0);
 
-  std::printf("CPA streamed   %8.3f s  (archive already on disk)\n", cpa_stream_s);
   std::printf("CPA in-memory  %8.3f s  (+%.3f s to re-run the victim)\n", cpa_mem_s,
               recapture_s);
-  harness.report("cpa_streamed", params, cpa_stream_s * 1e3,
-                 static_cast<double>(streamed.num_traces()) / cpa_stream_s, "traces/s");
   harness.report("cpa_inmemory", params, cpa_mem_s * 1e3,
                  static_cast<double>(inmem.num_traces()) / cpa_mem_s, "traces/s");
-  std::printf("rankings match %s  (top guess %u vs %u)\n",
-              streamed.ranking() == inmem.ranking() ? "yes" : "NO",
-              spec.guesses[streamed.ranking()[0]], spec.guesses[inmem.ranking()[0]]);
+  std::printf("rankings match %s  (archive vs in-memory, top guess %u vs %u)\n",
+              from_disk.ranking() == inmem.ranking() ? "yes" : "NO",
+              spec.guesses[from_disk.ranking()[0]], spec.guesses[inmem.ranking()[0]]);
 
   std::remove(path);
   std::remove("bench_tracestore_rw.fdtrace");

@@ -18,9 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "attack/cpa.h"
 #include "attack/extend_prune.h"
 #include "attack/hypothesis.h"
-#include "attack/streaming_cpa.h"
 #include "common/rng.h"
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
@@ -100,8 +100,7 @@ int main(int argc, char** argv) {
         // shift-invariant, so the truth's rank converges to 0 as traces
         // accumulate -- the Fig. 4 e-h curve shape. Candidates are the
         // truth's shift-family plus random fillers.
-        attack::StreamingCpaSpec spec;
-        spec.slot = slot;
+        attack::CpaSpec spec;
         spec.imag_part = imag;
         spec.sample_offsets = {sca::window::kOffAccZ1a};
         spec.guesses = attack::MantissaCandidates::adversarial(
@@ -112,7 +111,7 @@ int main(int argc, char** argv) {
         spec.snapshot_every = traces / 8 == 0 ? 1 : traces / 8;
         spec.truth_guess = split.y0;
         spec.label = out.label;
-        const attack::CpaEngine eng = attack::run_cpa_inmemory(sets[slot], spec);
+        const attack::CpaEngine eng = attack::run_cpa(sets[slot], spec);
         const auto order = eng.ranking();
         out.top_guess = spec.guesses[order[0]];
         out.peak = eng.peak(order[0]);

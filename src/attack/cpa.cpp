@@ -6,6 +6,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/metrics.h"
+#include "obs/sink.h"
+#include "sca/device.h"
+
 namespace fd::attack {
 
 double confidence_z(double confidence) {
@@ -28,31 +32,82 @@ double confidence_z(double confidence) {
 }
 
 CpaEngine::CpaEngine(std::size_t num_guesses, std::size_t num_samples,
-                     CpaKernelConfig kernel)
-    : kernel_(num_guesses, num_samples, kernel) {
-  sums_.reset(num_guesses, num_samples);
-}
+                     std::size_t batch_traces)
+    : g_(num_guesses),
+      s_(num_samples),
+      batch_(batch_traces == 0 ? 1 : batch_traces),
+      ref_h_(g_),
+      ref_t_(s_),
+      hbuf_(g_ * batch_),
+      tbuf_(s_ * batch_),
+      sum_h_(g_),
+      sum_h2_(g_),
+      sum_t_(s_),
+      sum_t2_(s_),
+      sum_ht_(g_ * s_) {}
 
 void CpaEngine::add_trace(std::span<const double> hypotheses, std::span<const float> samples) {
-  kernel_.add_trace(sums_, hypotheses, samples);
+  if (hypotheses.size() != g_ || samples.size() != s_) {
+    throw std::invalid_argument("CpaEngine::add_trace: span shape mismatch (got " +
+                                std::to_string(hypotheses.size()) + " hypotheses x " +
+                                std::to_string(samples.size()) + " samples, engine is " +
+                                std::to_string(g_) + " x " + std::to_string(s_) + ")");
+  }
+  if (traces_ == 0) {
+    for (std::size_t g = 0; g < g_; ++g) ref_h_[g] = hypotheses[g];
+    for (std::size_t s = 0; s < s_; ++s) ref_t_[s] = static_cast<double>(samples[s]);
+  }
+  for (std::size_t g = 0; g < g_; ++g) hbuf_[g * batch_ + pending_] = hypotheses[g] - ref_h_[g];
+  for (std::size_t s = 0; s < s_; ++s) {
+    tbuf_[s * batch_ + pending_] = static_cast<double>(samples[s]) - ref_t_[s];
+  }
+  ++traces_;
+  if (++pending_ == batch_) flush();
+}
+
+void CpaEngine::flush() const {
+  const std::size_t n = pending_;
+  if (n == 0) return;
+  for (std::size_t s = 0; s < s_; ++s) {
+    const double* row = tbuf_.data() + s * batch_;
+    sum_t_[s] += lanes4_sum(row, n);
+    sum_t2_[s] += lanes4_sumsq(row, n);
+  }
+  // Guess-side moments ride sample 0's covariance (the fused fold runs
+  // the identical lane program for each of its three sums).
+  for (std::size_t g = 0; g < g_ && s_ > 0; ++g) {
+    const double* h = hbuf_.data() + g * batch_;
+    double* ht = sum_ht_.data() + g * s_;
+    const HFold f = lanes4_fold_h(h, tbuf_.data(), n);
+    sum_h_[g] += f.sh;
+    sum_h2_[g] += f.sh2;
+    ht[0] += f.sht;
+    for (std::size_t s = 1; s < s_; ++s) ht[s] += lanes4_dot(h, tbuf_.data() + s * batch_, n);
+  }
+  pending_ = 0;
 }
 
 double CpaEngine::correlation(std::size_t guess, std::size_t sample) const {
-  kernel_.flush(sums_);
-  return sums_.correlation(guess, sample);
+  assert(guess < g_ && sample < s_);
+  flush();
+  if (traces_ < 2) return 0.0;
+  const double dn = static_cast<double>(traces_);
+  const double sh = sum_h_[guess];
+  const double st = sum_t_[sample];
+  const double cov = dn * sum_ht_[guess * s_ + sample] - sh * st;
+  const double var_h = dn * sum_h2_[guess] - sh * sh;
+  const double var_t = dn * sum_t2_[sample] - st * st;
+  if (var_h <= 0.0 || var_t <= 0.0) return 0.0;
+  return cov / std::sqrt(var_h * var_t);
 }
 
 double CpaEngine::peak(std::size_t guess) const {
-  kernel_.flush(sums_);
   double best = -2.0;
-  for (std::size_t s = 0; s < sums_.num_samples; ++s) {
-    best = std::max(best, std::fabs(sums_.correlation(guess, s)));
-  }
+  for (std::size_t s = 0; s < s_; ++s) best = std::max(best, std::fabs(correlation(guess, s)));
   return best;
 }
 
 std::vector<std::size_t> CpaEngine::ranking() const {
-  const std::size_t g_ = sums_.num_guesses;
   std::vector<double> peaks(g_);
   for (std::size_t g = 0; g < g_; ++g) peaks[g] = peak(g);
   std::vector<std::size_t> order(g_);
@@ -62,9 +117,85 @@ std::vector<std::size_t> CpaEngine::ranking() const {
   return order;
 }
 
-StreamingScan::StreamingScan(const std::vector<Column>& columns, CpaKernelConfig kernel)
-    : kernel_(kernel) {
-  if (kernel_.batch_traces == 0) kernel_.batch_traces = 1;
+namespace {
+
+// Reads the accumulator (never mutates its statistics) and emits one
+// "cpa.snapshot" event: the guess-rank state after `windows` windows.
+void emit_snapshot(const CpaEngine& engine, const CpaSpec& spec, std::size_t windows) {
+  if (obs::sink() == nullptr) return;
+  const std::vector<std::size_t> order = engine.ranking();
+  const double top1_r = engine.peak(order[0]);
+  const double top2_r = order.size() > 1 ? engine.peak(order[1]) : top1_r;
+  std::int64_t truth_rank = -1;
+  double truth_r = 0.0;
+  if (spec.truth_guess >= 0) {
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+      if (spec.guesses[order[pos]] == static_cast<std::uint32_t>(spec.truth_guess)) {
+        truth_rank = static_cast<std::int64_t>(pos);
+        truth_r = engine.peak(order[pos]);
+        break;
+      }
+    }
+  }
+  obs::event("cpa.snapshot")
+      .with("label", spec.label)
+      .with("traces", windows)
+      .with("guesses", spec.guesses.size())
+      .with("top1_guess", spec.guesses[order[0]])
+      .with("top1_r", top1_r)
+      .with("top2_r", top2_r)
+      .with("margin", top1_r - top2_r)
+      .with("truth_rank", truth_rank)
+      .with("truth_r", truth_r)
+      .emit();
+}
+
+}  // namespace
+
+CpaEngine run_cpa(const sca::TraceSet& set, const CpaSpec& spec) {
+  namespace ww = sca::window;
+  assert(!spec.guesses.empty() && !spec.sample_offsets.empty() && spec.model);
+  CpaEngine engine(spec.guesses.size(), spec.sample_offsets.size(), spec.batch_traces);
+  std::vector<double> hyps(spec.guesses.size());
+  std::vector<float> samps(spec.sample_offsets.size());
+  std::size_t windows = 0;
+  bool snapshot_emitted = false;
+  for (const sca::CapturedTrace& ct : set.traces) {
+    const std::vector<float>& samples = ct.trace.samples;
+    bool contributed = false;
+    for (unsigned v = 0; v < 2; ++v) {
+      const std::size_t block = ww::mul_block_for(spec.imag_part, v);
+      const std::size_t base = ww::mul_base(static_cast<unsigned>(block));
+      if (base + ww::kEventsPerMul > samples.size()) continue;  // foreign layout
+      const KnownOperand k =
+          KnownOperand::from((block == 0 || block == 3) ? ct.known_re : ct.known_im);
+      for (std::size_t g = 0; g < hyps.size(); ++g) hyps[g] = spec.model(spec.guesses[g], k);
+      for (std::size_t c = 0; c < samps.size(); ++c) {
+        samps[c] = samples[base + spec.sample_offsets[c]];
+      }
+      engine.add_trace(hyps, samps);
+      contributed = true;
+    }
+    // A window whose layout had no room for either view folded nothing:
+    // it must not advance attack.cpa.windows or the snapshot cadence.
+    if (!contributed) continue;
+    ++windows;
+    if (spec.snapshot_every != 0) {
+      snapshot_emitted = windows % spec.snapshot_every == 0;
+      if (snapshot_emitted) emit_snapshot(engine, spec, windows);
+    }
+  }
+  // Final snapshot so the end state is always on record, even when the
+  // window count is not a multiple of the cadence.
+  if (spec.snapshot_every != 0 && !snapshot_emitted && windows > 0) {
+    emit_snapshot(engine, spec, windows);
+  }
+  obs::MetricsRegistry::global().counter("attack.cpa.windows").add(windows);
+  return engine;
+}
+
+StreamingScan::StreamingScan(const std::vector<Column>& columns, std::size_t batch_traces)
+    : batch_(batch_traces == 0 ? 1 : batch_traces) {
   d_ = columns.empty() ? 0 : columns[0].samples.size();
   const double dn = static_cast<double>(d_);
   for (const Column& src : columns) {
@@ -137,7 +268,7 @@ std::vector<StreamingScan::Scored> StreamingScan::scan(std::uint64_t count, std:
       }
       for (std::size_t c = 0; c < ncols; ++c) {
         const HypColumn col{models_[c], known_[c], cols_[c].data(), d_};
-        lanes4_hyp_fold(col, kernel_.batch_traces, tile, n, sh, sh2, sht);
+        lanes4_hyp_fold(col, batch_, tile, n, sh, sh2, sht);
         for (std::size_t i = 0; i < n; ++i) {
           const double var_h = dn * sh2[i] - sh[i] * sh[i];
           const double cov = dn * sht[i] - sh[i] * col_sum_[c];

@@ -88,7 +88,7 @@ struct OffsetModel {
 
 PhaseOutcome run_scan(const ComponentDataset& ds, std::span<const OffsetModel> offsets,
                       std::span<const std::uint32_t> candidates, std::size_t keep,
-                      const CpaKernelConfig& kernel, std::size_t shards,
+                      std::size_t batch, std::size_t shards,
                       exec::ThreadPool* pool, PhaseCost* cost = nullptr) {
   const auto start = std::chrono::steady_clock::now();
   // One column per (view, offset) pair.
@@ -98,7 +98,7 @@ PhaseOutcome run_scan(const ComponentDataset& ds, std::span<const OffsetModel> o
       cols.push_back({ds.views[v].samples[om.offset], &ds.views[v].known, om.model});
     }
   }
-  StreamingScan scan(cols, kernel);
+  StreamingScan scan(cols, batch);
   scan.set_parallelism(shards, pool);
   PhaseOutcome out;
   out.top = scan.top_k_list(candidates, keep);
@@ -181,7 +181,7 @@ PhaseOutcome attack_low_mul_only(const ComponentDataset& ds,
                                  std::span<const std::uint32_t> candidates, std::size_t keep) {
   const OffsetModel offsets[] = {{ww::kOffProdLL, {HypKind::kMulY0}},
                                  {ww::kOffProdLH, {HypKind::kMulY1}}};
-  return run_scan(ds, offsets, candidates, keep, CpaKernelConfig{}, 1, nullptr);
+  return run_scan(ds, offsets, candidates, keep, kDefaultCpaBatch, 1, nullptr);
 }
 
 ComponentResult attack_component(const ComponentDataset& ds,
@@ -198,7 +198,7 @@ ComponentResult attack_component(const ComponentDataset& ds,
     const OffsetModel offsets[] = {{ww::kOffSign, {HypKind::kSign}}};
     const std::uint32_t guesses[] = {0, 1};
     PhaseCost cost;
-    res.sign_phase = run_scan(ds, offsets, guesses, 2, config.kernel, config.cpa_shards,
+    res.sign_phase = run_scan(ds, offsets, guesses, 2, config.cpa_batch, config.cpa_shards,
                               config.scan_pool, &cost);
     res.sign = res.sign_phase.value != 0;
     note_phase(config, "sign", 2, res.sign_phase, cost);
@@ -213,7 +213,7 @@ ComponentResult attack_component(const ComponentDataset& ds,
     guesses.reserve(config.exp_max - config.exp_min + 1);
     for (std::uint32_t e = config.exp_min; e <= config.exp_max; ++e) guesses.push_back(e);
     PhaseCost cost;
-    res.exp_phase = run_scan(ds, offsets, guesses, guesses.size(), config.kernel,
+    res.exp_phase = run_scan(ds, offsets, guesses, guesses.size(), config.cpa_batch,
                              config.cpa_shards, config.scan_pool, &cost);
     // Keep only the tie class, then prefer the guess nearest the prior.
     const double eps =
@@ -287,7 +287,7 @@ ComponentResult attack_component(const ComponentDataset& ds,
     const OffsetModel mul_offsets[] = {{ww::kOffProdLL, {HypKind::kMulY0}},
                                        {ww::kOffProdLH, {HypKind::kMulY1}}};
     PhaseCost cost;
-    res.low_extend = run_scan(ds, mul_offsets, cands, config.extend_top_k, config.kernel,
+    res.low_extend = run_scan(ds, mul_offsets, cands, config.extend_top_k, config.cpa_batch,
                               config.cpa_shards, config.scan_pool, &cost);
     note_phase(config, "low_extend", cands.size(), res.low_extend, cost);
 
@@ -296,7 +296,7 @@ ComponentResult attack_component(const ComponentDataset& ds,
     survivors.reserve(res.low_extend.top.size());
     for (const auto& s : res.low_extend.top) survivors.push_back(s.guess);
     const OffsetModel add_offsets[] = {{ww::kOffAccZ1a, {HypKind::kAccZ1a}}};
-    res.low_prune = run_scan(ds, add_offsets, survivors, survivors.size(), config.kernel,
+    res.low_prune = run_scan(ds, add_offsets, survivors, survivors.size(), config.cpa_batch,
                              config.cpa_shards, config.scan_pool, &cost);
     res.x0 = res.low_prune.value;
     note_phase(config, "low_prune", survivors.size(), res.low_prune, cost);
@@ -316,7 +316,7 @@ ComponentResult attack_component(const ComponentDataset& ds,
     const OffsetModel mul_offsets[] = {{ww::kOffProdHL, {HypKind::kMulY0}},
                                        {ww::kOffProdHH, {HypKind::kMulY1}}};
     PhaseCost cost;
-    res.high_extend = run_scan(ds, mul_offsets, cands, config.extend_top_k, config.kernel,
+    res.high_extend = run_scan(ds, mul_offsets, cands, config.extend_top_k, config.cpa_batch,
                                config.cpa_shards, config.scan_pool, &cost);
     note_phase(config, "high_extend", cands.size(), res.high_extend, cost);
 
@@ -325,7 +325,7 @@ ComponentResult attack_component(const ComponentDataset& ds,
     for (const auto& s : res.high_extend.top) survivors.push_back(s.guess);
     const OffsetModel add_offsets[] = {{ww::kOffAccZ1b, {HypKind::kAccZ1b, res.x0}},
                                        {ww::kOffAccZu, {HypKind::kAccZu, res.x0}}};
-    res.high_prune = run_scan(ds, add_offsets, survivors, survivors.size(), config.kernel,
+    res.high_prune = run_scan(ds, add_offsets, survivors, survivors.size(), config.cpa_batch,
                               config.cpa_shards, config.scan_pool, &cost);
     res.x1 = res.high_prune.value;
     note_phase(config, "high_prune", survivors.size(), res.high_prune, cost);

@@ -92,11 +92,10 @@ class ComponentScorer {
 
 struct ComponentAttackConfig {
   std::size_t extend_top_k = 16;
-  // CPA accumulation kernel driving every phase's StreamingScan. The
-  // batch size is part of the scores' numerical identity (ULP-level
-  // reassociation, see cpa_kernel.h), so pipelines hash it into their
-  // experiment id.
-  CpaKernelConfig kernel;
+  // Fold batch of every phase's StreamingScan. Part of the scores'
+  // numerical identity (ULP-level reassociation, see cpa_kernel.h), so
+  // pipelines hash it into their experiment id.
+  std::size_t cpa_batch = kDefaultCpaBatch;
   // Candidate lists; empty means exhaustive enumeration of the full
   // space (2^25 / 2^27 guesses -- minutes of CPU per component).
   std::vector<std::uint32_t> low_candidates;
@@ -130,7 +129,7 @@ struct ComponentAttackConfig {
   // StreamingScan::set_parallelism). Pure wall-clock knobs: per-guess
   // scores are independent, so the sharded scan is byte-identical to
   // the serial one at any shard count and any worker count. Unlike
-  // kernel.batch_traces these do NOT join the experiment identity and
+  // cpa_batch these do NOT join the experiment identity and
   // are never hashed. cpa_shards <= 1 keeps the serial scan;
   // scan_pool == nullptr runs shards inline on the calling thread.
   std::size_t cpa_shards = 1;

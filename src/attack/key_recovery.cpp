@@ -75,7 +75,7 @@ ComponentAttackConfig component_attack_config(const falcon::SecretKey& victim_sk
 
   ComponentAttackConfig cac;
   cac.extend_top_k = config.extend_top_k;
-  cac.kernel.batch_traces = config.cpa_batch;
+  cac.cpa_batch = config.cpa_batch;
   cac.cpa_shards = config.cpa_shards;  // scan_pool is wired by the caller
   cac.scorer = config.scorer;  // null = built-in CPA staging
   cac.obs_label = "slot" + std::to_string(slot) + (imag ? ".im" : ".re");

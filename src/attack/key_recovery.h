@@ -31,10 +31,10 @@ struct KeyRecoveryConfig {
   std::size_t extend_top_k = 16;
   // 0 => exhaustive enumeration; otherwise adversarial candidate count.
   std::size_t adversarial_random = 150;
-  // CPA kernel batch size (cpa_kernel.h): traces buffered per blocked
-  // fold. Part of the result's numerical identity (ULP-level
-  // reassociation inside a batch), so it joins the experiment hash;
-  // 1 reproduces the exact naive per-trace fold.
+  // CPA fold batch (cpa_kernel.h): traces folded per lanes4 block.
+  // Part of the result's numerical identity (ULP-level reassociation
+  // inside a batch), so it joins the experiment hash; 1 reproduces the
+  // exact per-trace fold.
   std::size_t cpa_batch = kDefaultCpaBatch;
   std::uint64_t seed = 1;
   // Worker threads for the per-component attack fan-out (src/exec).

@@ -12,14 +12,8 @@
 
 namespace fd::attack {
 
-namespace {
-
-// Binds a checkpoint to its experiment: everything that changes the
-// captured bytes or the per-component decisions participates; the
-// thread count, checkpoint cadence, and guess-space scan shards
-// (cpa_shards) are wall-time knobs and deliberately do not. The CPA
-// kernel batch DOES participate: reassociation inside a batch shifts
-// correlations at the ULP level (cpa_kernel.h).
+// The CPA fold batch DOES participate: reassociation inside a batch
+// shifts correlations at the ULP level (cpa_kernel.h).
 std::uint64_t hash_experiment(const falcon::KeyPair& victim,
                               const RecoveryPipelineConfig& config) {
   std::uint64_t h = 0x46444350;  // "FDCP"
@@ -76,6 +70,13 @@ std::uint64_t hash_experiment(const falcon::KeyPair& victim,
   return h;
 }
 
+std::uint64_t experiment_trace_id(std::uint64_t experiment) {
+  // Domain separation from the experiment digest ("TRAC" in ASCII).
+  return exec::mix64(experiment ^ 0x54524143ULL);
+}
+
+namespace {
+
 // The in-process executor: capture shards and component attacks both
 // run on the pipeline's thread pool.
 class InlineExecutor final : public StageExecutor {
@@ -119,10 +120,9 @@ RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
                                              const RecoveryPipelineConfig& config) {
   RecoveryPipelineResult out;
   const std::uint64_t experiment = hash_experiment(victim, config);
-  // Root the trace in the experiment hash ("TRAC" salt, matching the
-  // fleet coordinator's derivation) so the single-process pipeline
-  // produces the same replay-stable span ids on every run.
-  obs::set_trace_root(exec::mix64(experiment ^ 0x54524143ULL));
+  // Root the trace in the experiment (the fleet coordinator derives the
+  // same id), so the pipeline produces replay-stable span ids.
+  obs::set_trace_root(experiment_trace_id(experiment));
   obs::Span span("attack.pipeline", obs::Span::Root::kAdopt);
   span.note("cpa_kernel", cpa_simd_name(cpa_active_simd()));
 

@@ -43,6 +43,7 @@
 
 #include <csignal>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -118,5 +119,17 @@ struct RecoveryPipelineResult {
 // machinery as in recover_key.
 [[nodiscard]] RecoveryPipelineResult run_recovery_pipeline(const falcon::KeyPair& victim,
                                                            const RecoveryPipelineConfig& config);
+
+// The experiment digest: everything that changes the captured bytes or
+// the per-component decisions participates; the thread count, scan
+// shards (cpa_shards), checkpoint cadence, archive path and every
+// telemetry knob are wall-time or bookkeeping settings and deliberately
+// do not. It binds checkpoints to their experiment in both run modes
+// (single-process and fleet).
+[[nodiscard]] std::uint64_t hash_experiment(const falcon::KeyPair& victim,
+                                            const RecoveryPipelineConfig& config);
+// The trace id an experiment roots its spans in: single-process and
+// fleet runs of one experiment share it, and it is replay-stable.
+[[nodiscard]] std::uint64_t experiment_trace_id(std::uint64_t experiment);
 
 }  // namespace fd::attack

@@ -341,7 +341,7 @@ struct LrPhases {
     std::vector<LrHead> sub;
     sub.reserve(offs.size());
     for (const std::size_t off : offs) sub.push_back(heads[off]);
-    const std::size_t batch = config.kernel.batch_traces;
+    const std::size_t batch = config.cpa_batch;
     return [sub = std::move(sub), batch](std::size_t g) {
       return LrDistinguisher(g, sub, batch);
     };

@@ -79,8 +79,8 @@ void LrDistinguisher::observe(std::span<const double> hypotheses,
     u_[c] = h.w * z + h.b - h.u_mean;
   }
   // Stage one contribution per guess at batch slot `pending_` --
-  // guess-major rows, contiguous over the batch index, the CPA kernel's
-  // tiling transposed onto per-guess scores.
+  // guess-major rows, contiguous over the batch index, as in
+  // CpaEngine's hypothesis buffer.
   for (std::size_t g = 0; g < g_; ++g) {
     const double* hyp = hypotheses.data() + g * c_;
     double ll = 0.0, hh = 0.0;

@@ -28,8 +28,8 @@
 // of CPA. Per-guess accumulation
 // is batch-tiled: contributions are staged into a guess-major
 // contiguous block and reduced with the same lanes4 fixed-order
-// primitives as the CPA kernel's H^T.S fold, so the backend rides the
-// blocked-kernel speed work and inherits its determinism contract.
+// primitives CpaEngine folds through, so the backend inherits their
+// SIMD dispatch and determinism contract.
 //
 // Like Pearson (and unlike the template backend), the centered score
 // is blind to affine hypothesis shifts, so the exponent stage's alias
@@ -88,7 +88,7 @@ class LrDistinguisher {
   std::size_t traces_ = 0;
   // Batch staging: per-guess contiguous contribution rows (G x B),
   // folded through lanes4_sum / lanes4_sumsq when full -- the same
-  // tiled layout and reduction order as CpaBatchKernel.
+  // guess-major layout and reduction order as CpaEngine's buffer.
   mutable std::vector<double> stage_, stage_hh_;
   mutable std::size_t pending_ = 0;
   std::vector<double> u_;  // scratch, C

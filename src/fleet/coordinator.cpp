@@ -39,22 +39,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Binds worker checkpoints to this experiment: a FNV-1a/mix64 digest of
-// the encoded SessionConfig (every knob that changes captured bytes or
-// per-component decisions is in there). Reassigned shards accept a dead
-// predecessor's checkpoint iff it carries the same digest.
-std::uint64_t hash_session(const SessionConfig& cfg) {
-  std::vector<std::uint8_t> bytes;
-  encode_session(bytes, cfg);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
-  return exec::mix64(h);
-}
-
-// Domain separation between the session hash (checkpoint binding) and
-// the trace id derived from it ("TRAC" in ASCII).
-constexpr std::uint64_t kTraceSalt = 0x54524143;
-
 double steady_us() {
   return std::chrono::duration<double, std::micro>(Clock::now().time_since_epoch()).count();
 }
@@ -127,11 +111,13 @@ class Coordinator final : public attack::StageExecutor {
         cfg_.telemetry_path.empty() ? 0 : cfg_.profile_interval_ms;
     session_.stage_chunk_bytes =
         std::clamp<std::size_t>(cfg_.stage_chunk_bytes, 1, kMaxPayload / 2);
-    // trace_id is still 0 while hashing, then derived from the hash:
-    // the same experiment always produces the same trace tree, and the
-    // checkpoint binding is independent of the trace identity.
-    session_.session_hash = hash_session(session_);
-    session_.trace_id = exec::mix64(session_.session_hash ^ kTraceSalt);
+    // The single-process pipeline's experiment digest: it binds worker
+    // checkpoints (a reassigned shard accepts a dead predecessor's
+    // checkpoint iff it carries the same digest), and the trace id
+    // derived from it roots this run's spans exactly where a
+    // single-process run of the same experiment roots its own.
+    session_.session_hash = attack::hash_experiment(victim_, cfg_.pipeline);
+    session_.trace_id = attack::experiment_trace_id(session_.session_hash);
     obs::set_trace_root(session_.trace_id);
 
     // One retry/backoff vocabulary (exec::RetryPolicy) for the fleet's

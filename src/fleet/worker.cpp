@@ -467,10 +467,20 @@ bool handle_file_end(WorkerContext& ctx, const Frame& frame, FrameWriter& writer
   return true;
 }
 
+// Whether `cfg` is the config `ctx` already runs, byte for byte. The
+// session hash alone is not enough: it digests the experiment, not the
+// wall-time knobs (threads, heartbeat, staging chunk size) a new run of
+// the same experiment may change.
+bool same_session(const WorkerContext& ctx, const SessionConfig& cfg) {
+  if (!ctx.session) return false;
+  std::vector<std::uint8_t> have, want;
+  encode_session(have, ctx.session->cfg);
+  encode_session(want, cfg);
+  return have == want;
+}
+
 void handle_config(WorkerContext& ctx, const SessionConfig& cfg, FrameWriter& writer) {
-  if (ctx.session && ctx.session->cfg.session_hash == cfg.session_hash) {
-    return;  // reconnect of the same experiment: keep everything
-  }
+  if (same_session(ctx, cfg)) return;  // reconnect of the same run: keep everything
   // A NEW experiment invalidates everything the old one cached.
   ctx.done.clear();
   ctx.done_files.clear();

@@ -1,8 +1,7 @@
-// The blocked CPA kernel's contracts (cpa_kernel.h):
+// The CPA fold's contracts (cpa_kernel.h, cpa.h):
 //   - equivalence: batch sizes 1/7/64 agree with the exact two-pass
-//     Pearson reference at trace counts not divisible by B, batch 1
-//     reproduces the naive per-trace fold bit for bit, and tiling never
-//     changes a single bit;
+//     Pearson reference at trace counts not divisible by B, and batch 1
+//     reproduces the naive per-trace fold bit for bit;
 //   - the cancellation bugfix: a large DC offset (samples ~ 1e8 + HW)
 //     drives the legacy unshifted moment form dn*sum2 - sum*sum
 //     negative (the old code silently returned r = 0) while the shifted
@@ -35,7 +34,6 @@
 #include "attack/key_recovery.h"
 #include "attack/parallel_attack.h"
 #include "attack/recovery_pipeline.h"
-#include "attack/streaming_cpa.h"
 #include "common/rng.h"
 #include "common/shake256.h"
 #include "falcon/falcon.h"
@@ -60,10 +58,8 @@ sca::CampaignConfig small_config(std::uint64_t seed) {
   return cfg;
 }
 
-StreamingCpaSpec exponent_spec(std::size_t slot, bool imag = false) {
-  StreamingCpaSpec spec;
-  spec.slot = slot;
-  spec.imag_part = imag;
+CpaSpec exponent_spec() {
+  CpaSpec spec;
   spec.sample_offsets = {sca::window::kOffExpSum};
   for (std::uint32_t e = 1005; e <= 1053; ++e) spec.guesses.push_back(e);
   spec.model = [](std::uint32_t guess, const KnownOperand& k) {
@@ -134,8 +130,8 @@ double exact_pearson(const SyntheticCpa& s, std::size_t g, std::size_t c) {
   return static_cast<double>(cov / std::sqrt(vh * vt));
 }
 
-CpaEngine fold_synthetic(const SyntheticCpa& s, CpaKernelConfig kernel) {
-  CpaEngine engine(s.num_guesses, s.num_samples, kernel);
+CpaEngine fold_synthetic(const SyntheticCpa& s, std::size_t batch = kDefaultCpaBatch) {
+  CpaEngine engine(s.num_guesses, s.num_samples, batch);
   for (std::size_t d = 0; d < s.hyps.size(); ++d) engine.add_trace(s.hyps[d], s.samples[d]);
   return engine;
 }
@@ -147,9 +143,9 @@ TEST(CpaKernel, BatchSizesAgreeWithExactReference) {
   // partial tail batch must not change the statistics.
   for (const std::size_t traces : {63U, 100U, 101U}) {
     const auto s = make_synthetic(traces, 16, 3, 2.0, 0.0, 1.5, 0xA11CE + traces);
-    const CpaEngine e1 = fold_synthetic(s, {.batch_traces = 1});
-    const CpaEngine e7 = fold_synthetic(s, {.batch_traces = 7});
-    const CpaEngine e64 = fold_synthetic(s, {.batch_traces = 64});
+    const CpaEngine e1 = fold_synthetic(s, 1);
+    const CpaEngine e7 = fold_synthetic(s, 7);
+    const CpaEngine e64 = fold_synthetic(s, 64);
     ASSERT_EQ(e64.num_traces(), traces);
     for (std::size_t g = 0; g < s.num_guesses; ++g) {
       for (std::size_t c = 0; c < s.num_samples; ++c) {
@@ -173,7 +169,7 @@ TEST(CpaKernel, BatchSizesAgreeWithExactReference) {
 
 TEST(CpaKernel, BatchOneReproducesNaiveFoldBitForBit) {
   const auto s = make_synthetic(101, 12, 2, 2.0, 0.0, 1.5, 0xBEE);
-  const CpaEngine e1 = fold_synthetic(s, {.batch_traces = 1});
+  const CpaEngine e1 = fold_synthetic(s, 1);
 
   // The naive per-trace fold, spelled out: first trace is the shift
   // reference, every later value enters the five sums as (x - ref) in
@@ -214,28 +210,6 @@ TEST(CpaKernel, BatchOneReproducesNaiveFoldBitForBit) {
   }
 }
 
-TEST(CpaKernel, TilingNeverChangesABit) {
-  const auto s = make_synthetic(150, 49, 4, 2.0, 0.0, 1.5, 0x711E5);
-  const CpaEngine base =
-      fold_synthetic(s, {.batch_traces = 64, .guess_block = 32, .sample_block = 64});
-  const CpaKernelConfig tilings[] = {
-      {.batch_traces = 64, .guess_block = 1, .sample_block = 1},
-      {.batch_traces = 64, .guess_block = 3, .sample_block = 5},
-      {.batch_traces = 64, .guess_block = 1000, .sample_block = 1000},
-  };
-  for (const auto& cfg : tilings) {
-    const CpaEngine e = fold_synthetic(s, cfg);
-    for (std::size_t g = 0; g < s.num_guesses; ++g) {
-      for (std::size_t c = 0; c < s.num_samples; ++c) {
-        // Tile sizes are pure performance knobs: exact double equality.
-        EXPECT_EQ(e.correlation(g, c), base.correlation(g, c))
-            << "gb=" << cfg.guess_block << " sb=" << cfg.sample_block;
-      }
-    }
-    EXPECT_EQ(e.ranking(), base.ranking());
-  }
-}
-
 // --- the cancellation bugfix -----------------------------------------------
 
 TEST(CpaKernel, DcOffsetRegressionRecoversKeyGuess) {
@@ -260,7 +234,7 @@ TEST(CpaKernel, DcOffsetRegressionRecoversKeyGuess) {
 
   // The shifted kernel recovers the key guess at any batch size.
   for (const std::size_t batch : {1U, 64U}) {
-    const CpaEngine e = fold_synthetic(s, {.batch_traces = batch});
+    const CpaEngine e = fold_synthetic(s, batch);
     EXPECT_EQ(e.ranking().front(), 0U) << "batch=" << batch;
     EXPECT_GT(e.peak(0), 0.5) << "batch=" << batch;
     const double exact = exact_pearson(s, 0, 0);
@@ -301,8 +275,8 @@ TEST(CpaKernel, CorrelationIsShiftInvariantBitForBit) {
   for (auto& row : shifted.samples) {
     for (auto& x : row) x -= static_cast<float>(1 << 26);
   }
-  const CpaEngine a = fold_synthetic(s, {});
-  const CpaEngine b = fold_synthetic(shifted, {});
+  const CpaEngine a = fold_synthetic(s);
+  const CpaEngine b = fold_synthetic(shifted);
   for (std::size_t g = 0; g < s.num_guesses; ++g) {
     for (std::size_t c = 0; c < s.num_samples; ++c) {
       EXPECT_EQ(a.correlation(g, c), b.correlation(g, c));
@@ -320,7 +294,7 @@ TEST(CpaKernel, AbsPeakRankingCatchesInvertedLeakage) {
   for (std::size_t d = 0; d < s.samples.size(); ++d) {
     s.samples[d][0] = 200.0f - s.samples[d][0];
   }
-  const CpaEngine engine = fold_synthetic(s, {});
+  const CpaEngine engine = fold_synthetic(s);
   EXPECT_LT(engine.correlation(0, 0), -0.9);  // the leak really is inverted
   EXPECT_EQ(engine.ranking().front(), 0U);
   EXPECT_GT(engine.peak(0), 0.9);
@@ -339,11 +313,11 @@ TEST(CpaKernel, ForeignLayoutWindowFoldsNothingAndDoesNotCount) {
     ct.trace.samples.assign(4, 0.0f);  // no room for any fpr_mul view
     set.traces.push_back(ct);
   }
-  const auto spec = exponent_spec(0);
+  const auto spec = exponent_spec();
   auto& windows = obs::MetricsRegistry::global().counter("attack.cpa.windows");
 
   const std::uint64_t before = windows.value();
-  const CpaEngine empty = run_cpa_inmemory(set, spec);
+  const CpaEngine empty = run_cpa(set, spec);
   EXPECT_EQ(empty.num_traces(), 0U);
   if (FD_OBS_ENABLED) {
     // Foreign windows must not advance the cadence/window count.
@@ -353,7 +327,7 @@ TEST(CpaKernel, ForeignLayoutWindowFoldsNothingAndDoesNotCount) {
   // One well-formed window among the foreign ones: exactly it counts.
   set.traces[2].trace.samples.assign(sca::window::kEventsPerMul * 6, 0.0f);
   const std::uint64_t before2 = windows.value();
-  const CpaEngine one = run_cpa_inmemory(set, spec);
+  const CpaEngine one = run_cpa(set, spec);
   EXPECT_EQ(one.num_traces(), 2U);  // both views of the one good window
   if (FD_OBS_ENABLED) {
     EXPECT_EQ(windows.value() - before2, 1U);
@@ -501,7 +475,7 @@ TEST(CpaSimd, EngineCorrelationsIdenticalAcrossKernels) {
   const auto s = make_synthetic(101, 17, 3, 2.0, 0.0, 1.5, 0x51D1);
 
   ASSERT_TRUE(cpa_force_simd(CpaSimd::kScalar));
-  const CpaEngine scalar = fold_synthetic(s, {.batch_traces = 64});
+  const CpaEngine scalar = fold_synthetic(s, 64);
   std::vector<double> scalar_r;
   for (std::size_t g = 0; g < s.num_guesses; ++g) {
     for (std::size_t c = 0; c < s.num_samples; ++c) {
@@ -512,7 +486,7 @@ TEST(CpaSimd, EngineCorrelationsIdenticalAcrossKernels) {
 
   ASSERT_TRUE(cpa_force_simd(vec));
   EXPECT_EQ(cpa_active_simd(), vec);
-  const CpaEngine vector = fold_synthetic(s, {.batch_traces = 64});
+  const CpaEngine vector = fold_synthetic(s, 64);
   std::size_t i = 0;
   for (std::size_t g = 0; g < s.num_guesses; ++g) {
     for (std::size_t c = 0; c < s.num_samples; ++c) {
@@ -803,7 +777,7 @@ TEST(HypTiles, EveryKindMatchesPerGuessFoldBitForBit) {
       for (const std::uint32_t g : guesses) want.push_back(reference(m, g, batch));
       for (const CpaSimd simd : {CpaSimd::kScalar, CpaSimd::kAvx2, CpaSimd::kNeon}) {
         if (!cpa_force_simd(simd)) continue;
-        const StreamingScan scan({{col, &known, m}}, {.batch_traces = batch});
+        const StreamingScan scan({{col, &known, m}}, batch);
         const auto top = scan.top_k_list(guesses, guesses.size());
         ASSERT_EQ(top.size(), guesses.size());
         for (std::size_t i = 0; i < guesses.size(); ++i) {
@@ -820,6 +794,66 @@ TEST(HypTiles, EveryKindMatchesPerGuessFoldBitForBit) {
   }
 }
 
+// --- engine pins --------------------------------------------------------------
+//
+// CpaEngine's correlations pinned by digest: a synthetic fold under a
+// 1e6 DC offset at one and at three sample columns, at batch sizes 1, 7
+// and 64, over a trace count that leaves a partial batch and a partial
+// 4-lane group. Integer hypotheses against float samples would sum
+// exactly in any order, so each hypothesis is scaled by a per-trace
+// factor near 1: the products then round, and a reordered fold changes
+// the digest (the batch sizes pin different values). The digests were
+// recorded from the batch-staging engine that preceded the lanes4
+// accumulator; every dispatch kind must reproduce them bit for bit.
+
+struct CpaPin {
+  std::size_t samples;
+  std::size_t batch;
+  std::uint64_t digest;
+};
+
+constexpr CpaPin kCpaPins[] = {
+    {1, 1, 0xb5d54083fbbaa6e7ULL}, {1, 7, 0x036c47764d891c8cULL},
+    {1, 64, 0x6aa4991f7867a059ULL}, {3, 1, 0xcbebbeafce337fabULL},
+    {3, 7, 0x45e001581b927c58ULL}, {3, 64, 0xb1008c33d670ec2dULL},
+};
+
+// First 64 bits of SHAKE256 over every correlation(g, c) bit pattern,
+// guess-major.
+std::uint64_t engine_digest(const CpaEngine& e) {
+  Shake256 sh;
+  for (std::size_t g = 0; g < e.num_guesses(); ++g) {
+    for (std::size_t c = 0; c < e.num_samples(); ++c) {
+      const auto v = std::bit_cast<std::uint64_t>(e.correlation(g, c));
+      std::uint8_t b[8];
+      for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+      sh.inject(b);
+    }
+  }
+  sh.flip();
+  return sh.extract_u64();
+}
+
+TEST(CpaPins, CorrelationsMatchReferenceAtEveryKernel) {
+  SimdGuard guard;
+  for (const CpaSimd kind : {CpaSimd::kScalar, CpaSimd::kAvx2, CpaSimd::kNeon}) {
+    if (!cpa_force_simd(kind)) continue;
+    for (const CpaPin& pin : kCpaPins) {
+      // 201 traces: 201 % 7 = 5, 201 % 64 = 9, 201 % 4 = 1.
+      auto s = make_synthetic(201, 19, pin.samples, 2.0, 1e6, 1.5, 0xC9A + pin.samples);
+      ChaCha20Prng rng(0xC9A);
+      for (auto& row : s.hyps) {
+        const double scale = 1.0 + 0.01 * rng.gaussian();
+        for (double& h : row) h *= scale;
+      }
+      const std::uint64_t d = engine_digest(fold_synthetic(s, pin.batch));
+      EXPECT_EQ(d, pin.digest) << std::hex << "0x" << d << std::dec << " at kernel "
+                               << cpa_simd_name(kind) << ", samples " << pin.samples
+                               << ", batch " << pin.batch;
+    }
+  }
+}
+
 // --- release-mode contract pins (satellite bugfixes) -----------------------
 //
 // The default build defines NDEBUG, so these tests exercise exactly the
@@ -827,23 +861,21 @@ TEST(HypTiles, EveryKindMatchesPerGuessFoldBitForBit) {
 // error, not a skipped assert followed by out-of-bounds access.
 
 TEST(CpaRelease, AddTraceShapeMismatchThrowsInEveryBuildMode) {
-  CpaSums sums;
-  CpaBatchKernel kernel(4, 3, {});
+  CpaEngine engine(4, 3);
   const std::vector<double> good_h(4, 1.0);
   const std::vector<float> good_t(3, 1.0F);
   const std::vector<double> short_h(3, 1.0);
   const std::vector<float> short_t(2, 1.0F);
   const std::vector<double> long_h(5, 1.0);
 
-  EXPECT_THROW(kernel.add_trace(sums, short_h, good_t), std::invalid_argument);
-  EXPECT_THROW(kernel.add_trace(sums, good_h, short_t), std::invalid_argument);
-  EXPECT_THROW(kernel.add_trace(sums, long_h, good_t), std::invalid_argument);
+  EXPECT_THROW(engine.add_trace(short_h, good_t), std::invalid_argument);
+  EXPECT_THROW(engine.add_trace(good_h, short_t), std::invalid_argument);
+  EXPECT_THROW(engine.add_trace(long_h, good_t), std::invalid_argument);
   // Refused traces left no partial state behind: a good trace still
   // folds into a clean accumulator.
-  EXPECT_EQ(sums.traces, 0U);
-  kernel.add_trace(sums, good_h, good_t);
-  kernel.flush(sums);
-  EXPECT_EQ(sums.traces, 1U);
+  EXPECT_EQ(engine.num_traces(), 0U);
+  engine.add_trace(good_h, good_t);
+  EXPECT_EQ(engine.num_traces(), 1U);
 }
 
 TEST(CpaRelease, StreamingScanShapeMismatchThrowsInEveryBuildMode) {

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "falcon/falcon.h"
 #include "fleet/coordinator.h"
 #include "fleet/protocol.h"
+#include "obs/event.h"
 #include "obs/jsonl.h"
 #include "obs/sink.h"
 
@@ -624,6 +626,50 @@ TEST(Fleet, TelemetryIsUnifiedAndWorkerTagged) {
   if (FD_OBS_ENABLED) {
     EXPECT_GT(tagged, 0u);
   }
+}
+
+// One experiment, one trace: the coordinator roots its spans in the
+// single-process pipeline's experiment trace id, so a fleet run and a
+// single-process run of the same experiment land in the same trace
+// (wall-time knobs such as the thread count do not move it).
+TEST(Fleet, SharesTraceIdWithSingleProcessRun) {
+  if (!FD_OBS_ENABLED) GTEST_SKIP() << "built with FD_OBS=OFF";
+  const auto span_traces = [](const std::vector<std::string>& lines) {
+    std::set<std::string> traces;
+    for (const std::string& line : lines) {
+      obs::jsonl::Object obj;
+      EXPECT_TRUE(obs::jsonl::parse_object(line, obj)) << "unparseable: " << line;
+      if (obj.str("ev") == "span") traces.emplace(obj.str("trace"));
+    }
+    return traces;
+  };
+
+  std::vector<std::string> single_lines;
+  {
+    TempFile tmp("fleet_trace_ref.fdtrace");
+    auto cfg = base_pipeline(tmp.path);
+    cfg.attack.threads = 2;
+    obs::CollectingSink sink;
+    obs::ScopedTelemetrySink scope(&sink);
+    const auto ref = attack::run_recovery_pipeline(fleet_victim(), cfg);
+    ASSERT_TRUE(ref.ok) << ref.error;
+    for (const obs::Event& ev : sink.snapshot()) single_lines.push_back(obs::to_jsonl(ev));
+  }
+
+  TempFile tmp("fleet_trace.fdtrace");
+  TempFile telem("fleet_trace.jsonl");
+  auto fc = base_fleet(tmp.path, 2);
+  fc.telemetry_path = telem.path;
+  const auto res = fleet::run_fleet(fc);
+  ASSERT_TRUE(res.ok) << res.error;
+  std::vector<std::string> fleet_lines;
+  std::ifstream in(telem.path);
+  for (std::string line; std::getline(in, line);) fleet_lines.push_back(line);
+
+  const std::set<std::string> single = span_traces(single_lines);
+  const std::set<std::string> fleet = span_traces(fleet_lines);
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_EQ(fleet, single);
 }
 
 #endif  // FD_ATTACK_BIN

@@ -22,9 +22,9 @@
 #include <thread>
 #include <vector>
 
+#include "attack/cpa.h"
 #include "attack/hypothesis.h"
 #include "attack/recovery_pipeline.h"
-#include "attack/streaming_cpa.h"
 #include "common/rng.h"
 #include "falcon/falcon.h"
 #include "obs/obs.h"
@@ -540,9 +540,8 @@ sca::CampaignConfig mini_config(std::uint64_t seed) {
   return cfg;
 }
 
-attack::StreamingCpaSpec snapshot_spec(const falcon::SecretKey& sk, std::size_t slot) {
-  attack::StreamingCpaSpec spec;
-  spec.slot = slot;
+attack::CpaSpec snapshot_spec(const falcon::SecretKey& sk, std::size_t slot) {
+  attack::CpaSpec spec;
   spec.sample_offsets = {sca::window::kOffExpSum};
   for (std::uint32_t e = 1005; e <= 1053; ++e) spec.guesses.push_back(e);
   spec.model = [](std::uint32_t guess, const attack::KnownOperand& k) {
@@ -570,7 +569,7 @@ TEST(ObsDeterminism, FixedSeedCampaignTelemetryIsReproducible) {
     obs::ScopedTelemetrySink scope(&sink);
     const auto sets = sca::run_full_campaign(kp.sk, mini_config(0x0B5));
     const auto spec = snapshot_spec(kp.sk, 1);
-    (void)attack::run_cpa_inmemory(sets[1], spec);
+    (void)attack::run_cpa(sets[1], spec);
     for (const auto& ev : sink.events()) run.push_back(deterministic_view(ev));
   }
   ASSERT_FALSE(runs[0].empty());
@@ -601,12 +600,12 @@ TEST(ObsDeterminism, InstrumentationDoesNotPerturbRankings) {
   spec_quiet.snapshot_every = 0;  // telemetry fully disabled
   spec_quiet.truth_guess = -1;
   spec_quiet.label.clear();
-  const auto quiet = attack::run_cpa_inmemory(sets[1], spec_quiet);
+  const auto quiet = attack::run_cpa(sets[1], spec_quiet);
 
   obs::CollectingSink sink;
   obs::ScopedTelemetrySink scope(&sink);
   const auto spec_loud = snapshot_spec(kp.sk, 1);
-  const auto loud = attack::run_cpa_inmemory(sets[1], spec_loud);
+  const auto loud = attack::run_cpa(sets[1], spec_loud);
 
   ASSERT_EQ(quiet.ranking(), loud.ranking());
   for (std::size_t g = 0; g < spec_loud.guesses.size(); ++g) {

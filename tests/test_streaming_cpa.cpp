@@ -1,16 +1,17 @@
 // Capture-once/attack-many equivalence: a seeded campaign streamed to
-// an .fdtrace archive and re-read through ArchiveReader must reproduce
-// the in-memory pipeline exactly -- same traces, same CpaEngine sums,
-// same ranking, same recovered component -- with reader memory bounded
-// by the chunk size rather than the campaign size.
+// an .fdtrace archive and loaded back through ArchiveReader must
+// reproduce the in-memory pipeline exactly -- same traces, same
+// CpaEngine sums, same ranking, same recovered component -- with reader
+// memory bounded by the chunk size rather than the campaign size.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "attack/cpa.h"
 #include "attack/parallel_attack.h"
-#include "attack/streaming_cpa.h"
 #include "common/rng.h"
 #include "falcon/falcon.h"
 #include "sca/campaign.h"
@@ -35,15 +36,22 @@ sca::CampaignConfig small_config(std::uint64_t seed) {
   return cfg;
 }
 
-StreamingCpaSpec exponent_spec(std::size_t slot) {
-  StreamingCpaSpec spec;
-  spec.slot = slot;
+CpaSpec exponent_spec() {
+  CpaSpec spec;
   spec.sample_offsets = {sca::window::kOffExpSum};
   for (std::uint32_t e = 1005; e <= 1053; ++e) spec.guesses.push_back(e);
   spec.model = [](std::uint32_t guess, const KnownOperand& k) {
     return hyp_exponent(guess, k);
   };
   return spec;
+}
+
+// The archive's traces of one slot, demuxed in archive order.
+sca::TraceSet load_slot(tracestore::ArchiveReader& reader, std::size_t slot) {
+  const std::size_t slots[] = {slot};
+  std::vector<sca::TraceSet> sets;
+  EXPECT_TRUE(sca::load_trace_sets_for(reader, slots, sets)) << reader.error();
+  return sets.empty() ? sca::TraceSet{} : sets[0];
 }
 
 TEST(StreamingCpa, ArchiveReproducesInMemoryCampaignBitExactly) {
@@ -96,9 +104,9 @@ TEST(StreamingCpa, StreamedEngineMatchesInMemoryEngineExactly) {
   ASSERT_TRUE(reader.open(tmp.path));
 
   const std::size_t slot = 2;
-  const auto spec = exponent_spec(slot);
-  const CpaEngine streamed = run_cpa_streaming(reader, spec);
-  const CpaEngine inmem = run_cpa_inmemory(sets[slot], spec);
+  const auto spec = exponent_spec();
+  const CpaEngine streamed = run_cpa(load_slot(reader, slot), spec);
+  const CpaEngine inmem = run_cpa(sets[slot], spec);
 
   ASSERT_EQ(streamed.num_traces(), inmem.num_traces());
   ASSERT_EQ(streamed.num_guesses(), inmem.num_guesses());
@@ -179,9 +187,10 @@ TEST(StreamingCpa, ReaderMemoryIndependentOfCampaignSize) {
     ASSERT_TRUE(sca::run_campaign_to_archive(kp.sk, cfg, tmp.path, /*traces_per_chunk=*/32).ok);
     tracestore::ArchiveReader reader;
     ASSERT_TRUE(reader.open(tmp.path));
-    const auto spec = exponent_spec(1);
-    const CpaEngine eng = run_cpa_streaming(reader, spec);
-    EXPECT_EQ(eng.num_traces(), 2 * sizes[i]);  // two views per captured trace
+    tracestore::TraceRecord rec;
+    std::size_t slot_records = 0;
+    while (reader.next(rec)) slot_records += rec.slot == 1 ? 1 : 0;
+    EXPECT_EQ(slot_records, sizes[i]);  // one record per captured trace
     residents[i] = reader.max_resident_records();
     EXPECT_LE(residents[i], 32U);
   }
@@ -213,11 +222,11 @@ TEST(StreamingCpa, MergedShardsMatchConcatenatedInMemoryCampaigns) {
   while (reader.next(rec)) ++n;
   EXPECT_EQ(n, (cfg_a.num_traces + cfg_b.num_traces) * (kp.sk.params.n >> 1));
 
-  // Streamed CPA over the merged archive == in-memory engine fed with
-  // shard A's traces then shard B's, in order.
+  // CPA over the merged archive == in-memory engine fed with shard A's
+  // traces then shard B's, in order.
   const std::size_t slot = 1;
-  const auto spec = exponent_spec(slot);
-  const CpaEngine streamed = run_cpa_streaming(reader, spec);
+  const auto spec = exponent_spec();
+  const CpaEngine streamed = run_cpa(load_slot(reader, slot), spec);
 
   const auto sets_a = sca::run_full_campaign(kp.sk, cfg_a);
   const auto sets_b = sca::run_full_campaign(kp.sk, cfg_b);
@@ -226,7 +235,7 @@ TEST(StreamingCpa, MergedShardsMatchConcatenatedInMemoryCampaigns) {
   joined.traces = sets_a[slot].traces;
   joined.traces.insert(joined.traces.end(), sets_b[slot].traces.begin(),
                        sets_b[slot].traces.end());
-  const CpaEngine inmem = run_cpa_inmemory(joined, spec);
+  const CpaEngine inmem = run_cpa(joined, spec);
 
   ASSERT_EQ(streamed.num_traces(), inmem.num_traces());
   for (std::size_t g = 0; g < streamed.num_guesses(); ++g) {

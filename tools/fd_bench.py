@@ -31,7 +31,7 @@ import tempfile
 # (executable, positional args) -- sized so the whole suite stays in
 # single-digit seconds; the baseline pins these exact shapes.
 BENCHES = [
-    ("bench_cpa_kernel", ["4000"]),
+    ("bench_cpa_kernel", []),
     ("bench_tracestore", ["4"]),
     # Distinguisher backend matrix: profiling cost + the budget sweep
     # across cpa/template/lr (also emits the mtd rows fd-report renders).
