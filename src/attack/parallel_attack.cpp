@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <numeric>
 
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
@@ -19,6 +20,62 @@ void count_archive_scan() {
   obs::MetricsRegistry::global().counter("attack.archive.scans").add(1);
 }
 
+// The per-component task body of both fan-outs: for each listed
+// component, screen its slot's set (sets[slot]) through `gate`,
+// build the dataset, attack, and store the result by component index.
+// A disabled gate is the identity, so the shared set is attacked as is;
+// an enabled one edits a private copy, which keeps results and the
+// summed report independent of which components share a slot. Errors
+// go to `first_error` unless it already holds one.
+void attack_slot_sets(std::span<const sca::TraceSet> sets, const QualityConfig& gate,
+                      unsigned jitter_max, const ComponentConfigFn& config_for,
+                      exec::ThreadPool* pool, std::span<const std::size_t> components,
+                      std::vector<ComponentResult>& results,
+                      std::vector<std::size_t>& accepted_traces, QualityReport& total,
+                      std::string& first_error) {
+  const std::size_t hn = sets.size();
+  std::mutex mu;  // guards first_error and total
+  const auto fail = [&](std::string what) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (first_error.empty()) first_error = std::move(what);
+  };
+  // One component per chunk: component attacks are the coarse unit of
+  // work (seconds each at paper sizes), so finer chunking buys nothing
+  // and per-index chunks keep the static plan trivially balanced.
+  exec::parallel_for_chunks(pool, components.size(), components.size(),
+                            [&](exec::ChunkRange r, std::size_t) {
+    for (std::size_t k = r.begin; k < r.end; ++k) {
+      const std::size_t idx = components[k];
+      if (idx >= 2 * hn) {
+        fail("component id " + std::to_string(idx) + " out of range");
+        continue;
+      }
+      const ComponentIndex ci = component_index(idx, hn);
+      const sca::TraceSet& shared = sets[ci.slot];
+      if (shared.traces.empty()) {
+        fail("no records for slot " + std::to_string(ci.slot));
+        continue;
+      }
+      sca::TraceSet screened;
+      if (gate.enabled) screened = shared;
+      // screen_trace_set takes the set by mutable reference; a disabled
+      // gate only counts it, so the shared set is never written.
+      const QualityReport rep = screen_trace_set(
+          gate.enabled ? screened : const_cast<sca::TraceSet&>(shared), gate, jitter_max);
+      const sca::TraceSet& set = gate.enabled ? screened : shared;
+      if (set.traces.empty()) {
+        fail("quality gate rejected every trace of slot " + std::to_string(ci.slot));
+        continue;
+      }
+      const ComponentDataset ds = build_component_dataset(set, ci.imag);
+      results[idx] = attack_component(ds, config_for(ci));
+      accepted_traces[idx] = set.traces.size();
+      std::lock_guard<std::mutex> lock(mu);
+      total.add(rep);
+    }
+  });
+}
+
 }  // namespace
 
 std::vector<ComponentResult> attack_all_components_parallel(
@@ -27,17 +84,14 @@ std::vector<ComponentResult> attack_all_components_parallel(
   obs::Span span("attack.all_components");
   const std::size_t hn = sets.size();
   const std::size_t n = hn * 2;
+  std::vector<std::size_t> components(n);
+  std::iota(components.begin(), components.end(), std::size_t{0});
   std::vector<ComponentResult> results(n);
-  // One component per chunk: component attacks are the coarse unit of
-  // work (seconds each at paper sizes), so finer chunking buys nothing
-  // and per-index chunks keep the static plan trivially balanced.
-  exec::parallel_for_chunks(pool, n, n, [&](exec::ChunkRange r, std::size_t) {
-    for (std::size_t idx = r.begin; idx < r.end; ++idx) {
-      const ComponentIndex ci = component_index(idx, hn);
-      const ComponentDataset ds = build_component_dataset(sets[ci.slot], ci.imag);
-      results[idx] = attack_component(ds, config_for(ci));
-    }
-  });
+  std::vector<std::size_t> accepted(n);
+  QualityReport quality;
+  std::string error;
+  attack_slot_sets(sets, QualityConfig{}, 0, config_for, pool, components, results,
+                   accepted, quality, error);
   obs::MetricsRegistry::global().counter("attack.components").add(n);
   return results;
 }
@@ -55,77 +109,36 @@ bool attack_components_gated(const std::string& archive_path, const QualityConfi
     return false;
   }
   const std::size_t hn = reader.meta().num_slots;
-  const unsigned jitter_max = reader.meta().jitter_max;
   const std::size_t n = hn * 2;
   if (results.size() != n) results.assign(n, ComponentResult{});
   if (accepted_traces.size() != n) accepted_traces.assign(n, 0);
 
-  std::mutex mu;  // guards first_error and the aggregate report
+  // Single-pass demux: collect the requested components' unique slots
+  // and fill them in ONE serial archive scan; the tasks then screen and
+  // attack them in parallel. Out-of-range ids are reported in list order.
   std::string first_error;
-  QualityReport total;
-
-  // Single-pass demux: collect the requested components' unique slots,
-  // fill them in ONE serial archive scan, then screen/attack private
-  // copies in parallel. The screened copy per component keeps results
-  // and the aggregate report independent of which components share a
-  // slot.
   std::vector<std::size_t> slots;
   for (const std::size_t idx : components) {
-    if (idx >= n) {
-      if (first_error.empty()) {
-        first_error = "component id " + std::to_string(idx) + " out of range";
-      }
-      continue;
+    if (idx < n) {
+      slots.push_back(component_index(idx, hn).slot);
+    } else if (first_error.empty()) {
+      first_error = "component id " + std::to_string(idx) + " out of range";
     }
-    slots.push_back(component_index(idx, hn).slot);
   }
   std::sort(slots.begin(), slots.end());
   slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-  std::vector<sca::TraceSet> slot_sets;
+  std::vector<sca::TraceSet> loaded;
   count_archive_scan();
-  if (!sca::load_trace_sets_for(reader, slots, slot_sets)) {
+  if (!sca::load_trace_sets_for(reader, slots, loaded)) {
     if (error != nullptr) *error = "failed to demux archive records";
     return false;
   }
-  std::vector<std::size_t> slot_of(hn, static_cast<std::size_t>(-1));  // slot -> set
-  for (std::size_t i = 0; i < slots.size(); ++i) slot_of[slots[i]] = i;
+  std::vector<sca::TraceSet> slot_sets(hn);  // unrequested slots stay empty
+  for (sca::TraceSet& set : loaded) slot_sets[set.slot] = std::move(set);
 
-  exec::parallel_for_chunks(pool, components.size(), components.size(),
-                            [&](exec::ChunkRange r, std::size_t) {
-    for (std::size_t k = r.begin; k < r.end; ++k) {
-      const std::size_t idx = components[k];
-      if (idx >= n) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (first_error.empty()) {
-          first_error = "component id " + std::to_string(idx) + " out of range";
-        }
-        continue;
-      }
-      const ComponentIndex ci = component_index(idx, hn);
-      sca::TraceSet set = slot_sets[slot_of[ci.slot]];  // private screened copy
-      if (set.traces.empty()) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (first_error.empty()) {
-          first_error = "no records for slot " + std::to_string(ci.slot);
-        }
-        continue;
-      }
-      const QualityReport rep = screen_trace_set(set, gate, jitter_max);
-      if (set.traces.empty()) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (first_error.empty()) {
-          first_error =
-              "quality gate rejected every trace of slot " + std::to_string(ci.slot);
-        }
-        continue;
-      }
-      const ComponentDataset ds = build_component_dataset(set, ci.imag);
-      results[idx] = attack_component(ds, config_for(ci));
-      accepted_traces[idx] = set.traces.size();
-      std::lock_guard<std::mutex> lock(mu);
-      total.add(rep);
-    }
-  });
+  QualityReport total;
+  attack_slot_sets(slot_sets, gate, reader.meta().jitter_max, config_for, pool,
+                   components, results, accepted_traces, total, first_error);
   if (quality != nullptr) *quality = total;
   if (!first_error.empty()) {
     if (error != nullptr) *error = first_error;

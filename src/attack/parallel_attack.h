@@ -42,9 +42,10 @@ struct ComponentIndex {
 // candidate generators already are: their RNG is seeded per index).
 using ComponentConfigFn = std::function<ComponentAttackConfig(const ComponentIndex&)>;
 
-// Attacks all n = 2 * hn components of `sets` (hn slots, re + im each)
-// and returns results in component-index order. Null pool -> the same
-// loop runs serially; results are identical either way.
+// Attacks all n = 2 * hn components of `sets` (hn slots, re + im each;
+// sets[s] is slot s) and returns results in component-index order. Null
+// pool -> the same loop runs serially; results are identical either way.
+// A slot without traces leaves its two results default-constructed.
 [[nodiscard]] std::vector<ComponentResult> attack_all_components_parallel(
     const std::vector<sca::TraceSet>& sets, const ComponentConfigFn& config_for,
     exec::ThreadPool* pool);
@@ -65,9 +66,11 @@ using ComponentConfigFn = std::function<ComponentAttackConfig(const ComponentInd
 // worker count.
 //
 // The listed components' slots are demultiplexed in ONE serial archive
-// scan (sca::load_trace_sets_for), then each component screens and
-// attacks a private copy of its slot's set in parallel -- 1 archive
-// pass per call, memory O(requested slots). A slot shared by Re and Im
+// scan (sca::load_trace_sets_for), then the components are attacked in
+// parallel by the same task body as attack_all_components_parallel --
+// 1 archive pass per call, memory O(requested slots). An enabled gate
+// screens a private copy of the slot's set per component; a disabled
+// one attacks the shared set as is. A slot shared by Re and Im
 // is screened once per component, so it counts twice in the summed
 // QualityReport. A disabled gate (the default QualityConfig) leaves
 // every trace in place: results then equal

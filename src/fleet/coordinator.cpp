@@ -506,58 +506,15 @@ class Coordinator final : public attack::StageExecutor {
   // in atomically and remembers the generation; attack tasks name the
   // generation they expect.
   bool push_archive(WorkerProc& w) {
-    const std::string& path = cfg_.pipeline.archive_path;
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return false;
-    std::fseek(f, 0, SEEK_END);
-    const long size_l = std::ftell(f);
-    std::rewind(f);
-    if (size_l < 0) {
-      std::fclose(f);
-      return false;
-    }
-    const std::uint64_t size = static_cast<std::uint64_t>(size_l);
-    const std::size_t chunk = session_.stage_chunk_bytes;
     FileStart fs;
     fs.file_id = static_cast<std::uint32_t>(archive_gen_);
     fs.role = FileRole::kArchivePush;
-    fs.total_bytes = size;
-    fs.chunk_bytes = static_cast<std::uint32_t>(chunk);
-    fs.num_chunks = static_cast<std::uint32_t>((size + chunk - 1) / chunk);
-    fs.first_chunk = 0;
+    fs.chunk_bytes = static_cast<std::uint32_t>(session_.stage_chunk_bytes);
     fs.name = "archive";
-    std::vector<std::uint8_t> payload;
-    encode_file_start(payload, fs);
-    if (!write_frame(w, FrameType::kFileStart, payload)) {
-      std::fclose(f);
-      return false;
-    }
-    std::uint32_t file_crc = 0;
-    FileChunk fc;
-    fc.file_id = fs.file_id;
-    for (std::uint32_t i = 0; i < fs.num_chunks; ++i) {
-      fc.index = i;
-      fc.data.resize(chunk);
-      const std::size_t got = std::fread(fc.data.data(), 1, chunk, f);
-      fc.data.resize(got);
-      if (got == 0) break;  // file shrank underneath us: End won't match
-      fc.crc = tracestore::crc32(fc.data);
-      file_crc = tracestore::crc32(fc.data, file_crc);
-      payload.clear();
-      encode_file_chunk(payload, fc);
-      if (!write_frame(w, FrameType::kFileChunk, payload)) {
-        std::fclose(f);
-        return false;
-      }
-    }
-    std::fclose(f);
-    FileEnd fe;
-    fe.file_id = fs.file_id;
-    fe.num_chunks = fs.num_chunks;
-    fe.file_crc = file_crc;
-    payload.clear();
-    encode_file_end(payload, fe);
-    if (!write_frame(w, FrameType::kFileEnd, payload)) return false;
+    const auto send = [&](FrameType type, std::span<const std::uint8_t> payload) {
+      return write_frame(w, type, payload);
+    };
+    if (!send_file(cfg_.pipeline.archive_path, fs, 0, send)) return false;
     w.archive_gen = archive_gen_;
     emit_event("fleet.archive.push", {{"worker", static_cast<std::uint64_t>(w.id)},
                                       {"generation", archive_gen_},

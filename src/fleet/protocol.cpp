@@ -1,6 +1,7 @@
 #include "fleet/protocol.h"
 
 #include <bit>
+#include <cstdio>
 #include <cstring>
 
 #include "tracestore/archive.h"
@@ -512,6 +513,55 @@ bool decode_file_end(std::span<const std::uint8_t> bytes, FileEnd& out) {
   out.num_chunks = c.u32();
   out.file_crc = c.u32();
   return c.done();
+}
+
+bool send_file(const std::string& path, FileStart& header, std::uint32_t first_chunk,
+               const FrameSendFn& send) {
+  const std::size_t chunk = header.chunk_bytes;
+  if (chunk == 0) return false;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  std::fseek(f, 0, SEEK_END);
+  const long size = std::ftell(f);
+  std::rewind(f);
+  header.total_bytes = size < 0 ? 0 : static_cast<std::uint64_t>(size);
+  header.num_chunks = static_cast<std::uint32_t>((header.total_bytes + chunk - 1) / chunk);
+  header.first_chunk = first_chunk;
+  if (size < 0 || first_chunk > header.num_chunks) {
+    std::fclose(f);
+    return false;
+  }
+  std::vector<std::uint8_t> payload;
+  encode_file_start(payload, header);
+  bool ok = send(FrameType::kFileStart, payload);
+  std::uint32_t file_crc = 0;
+  FileChunk fc;
+  fc.file_id = header.file_id;
+  for (std::uint32_t i = 0; ok && i < header.num_chunks; ++i) {
+    fc.data.resize(chunk);
+    const std::size_t got = std::fread(fc.data.data(), 1, chunk, f);
+    fc.data.resize(got);
+    if (got == 0) {  // the file shrank underneath us
+      ok = false;
+      break;
+    }
+    file_crc = tracestore::crc32(fc.data, file_crc);
+    if (i < first_chunk) continue;
+    fc.index = i;
+    fc.crc = tracestore::crc32(fc.data);
+    payload.clear();
+    encode_file_chunk(payload, fc);
+    ok = send(FrameType::kFileChunk, payload);
+  }
+  std::fclose(f);
+  if (!ok) return false;
+  FileEnd fe;
+  fe.file_id = header.file_id;
+  fe.num_chunks = header.num_chunks;
+  fe.file_crc = file_crc;
+  payload.clear();
+  encode_file_end(payload, fe);
+  return send(FrameType::kFileEnd, payload);
 }
 
 }  // namespace fd::fleet

@@ -58,6 +58,7 @@
 // frame must not take the coordinator down with it.
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -336,5 +337,19 @@ struct FileEnd {
 };
 void encode_file_end(std::vector<std::uint8_t>& out, const FileEnd& f);
 [[nodiscard]] bool decode_file_end(std::span<const std::uint8_t> bytes, FileEnd& out);
+
+// Sends one frame; false when the connection is gone.
+using FrameSendFn = std::function<bool(FrameType, std::span<const std::uint8_t>)>;
+
+// Streams the file at `path` as one chunked transfer: Start, the chunks
+// from `first_chunk` on (each with its own CRC), End with the whole-file
+// CRC. `header` supplies file_id, role, name and chunk_bytes; send_file
+// fills in its geometry fields from the file. An archive push is the
+// first_chunk = 0 case; a resumed stage-out skips the chunks the
+// receiver already holds (they are still read, for the file CRC).
+// Returns false when the file cannot be read, first_chunk lies past its
+// end, or a send fails -- then no End frame goes out.
+[[nodiscard]] bool send_file(const std::string& path, FileStart& header, std::uint32_t first_chunk,
+                             const FrameSendFn& send);
 
 }  // namespace fd::fleet

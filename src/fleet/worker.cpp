@@ -327,72 +327,6 @@ TaskResult run_attack_task(const Session& s, const TaskSpec& spec, FrameWriter& 
   return res;
 }
 
-// Streams a finished capture shard back to the coordinator, resuming at
-// `first_chunk` (the chunks the coordinator confirmed it already holds
-// from a connection that died mid-transfer). Chunks carry individual
-// CRCs; the End frame the whole-file CRC. A send failure just stops the
-// stream -- the loop discovers the dead connection at its next read.
-bool send_staged_file(FrameWriter& writer, const std::string& path, std::uint32_t file_id,
-                      std::uint32_t first_chunk, std::size_t chunk_bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::vector<std::uint8_t> buf(chunk_bytes);
-  // Pre-pass for the whole-file CRC (resume may skip leading chunks, so
-  // it cannot be accumulated inline).
-  std::uint32_t file_crc = 0;
-  std::uint64_t total = 0;
-  for (;;) {
-    const std::size_t k = std::fread(buf.data(), 1, buf.size(), f);
-    if (k == 0) break;
-    file_crc = tracestore::crc32({buf.data(), k}, file_crc);
-    total += k;
-  }
-  const auto num_chunks =
-      static_cast<std::uint32_t>((total + chunk_bytes - 1) / chunk_bytes);
-  if (first_chunk > num_chunks) {
-    std::fclose(f);
-    return false;
-  }
-  FileStart fs;
-  fs.file_id = file_id;
-  fs.role = FileRole::kStageOut;
-  fs.total_bytes = total;
-  fs.chunk_bytes = static_cast<std::uint32_t>(chunk_bytes);
-  fs.num_chunks = num_chunks;
-  fs.first_chunk = first_chunk;
-  const std::size_t slash = path.find_last_of('/');
-  fs.name = slash == std::string::npos ? path : path.substr(slash + 1);
-  std::vector<std::uint8_t> payload;
-  encode_file_start(payload, fs);
-  bool ok = writer.send(FrameType::kFileStart, payload);
-  std::fseek(f, static_cast<long>(static_cast<std::uint64_t>(first_chunk) * chunk_bytes),
-             SEEK_SET);
-  for (std::uint32_t idx = first_chunk; ok && idx < num_chunks; ++idx) {
-    const std::size_t k = std::fread(buf.data(), 1, buf.size(), f);
-    if (k == 0) {
-      ok = false;
-      break;
-    }
-    FileChunk ch;
-    ch.file_id = file_id;
-    ch.index = idx;
-    ch.data.assign(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(k));
-    ch.crc = tracestore::crc32(ch.data);
-    payload.clear();
-    encode_file_chunk(payload, ch);
-    ok = writer.send(FrameType::kFileChunk, payload);
-  }
-  std::fclose(f);
-  if (!ok) return false;
-  FileEnd fe;
-  fe.file_id = file_id;
-  fe.num_chunks = num_chunks;
-  fe.file_crc = file_crc;
-  payload.clear();
-  encode_file_end(payload, fe);
-  return writer.send(FrameType::kFileEnd, payload);
-}
-
 enum class LoopExit {
   kShutdownReq,  // coordinator asked us to exit
   kEof,          // peer went away cleanly
@@ -538,12 +472,21 @@ bool handle_task(WorkerContext& ctx, const Frame& frame, FrameWriter& writer) {
   const auto deliver = [&](const TaskResult& res) {
     // Staged captures ship the shard file BEFORE the result frame: a
     // kResult for a staged task promises the coordinator already holds
-    // every chunk.
+    // every chunk. The stream resumes at the chunks the coordinator
+    // confirmed it holds from a connection that died mid-transfer.
     if (spec.stage && spec.kind == TaskKind::kCapture && res.ok) {
       const auto it = ctx.done_files.find(spec.task_id);
       if (it != ctx.done_files.end()) {
-        if (!send_staged_file(writer, it->second, spec.task_id, spec.stage_have_chunks,
-                              chunk_bytes)) {
+        const std::string& path = it->second;
+        FileStart fs;
+        fs.file_id = spec.task_id;
+        fs.role = FileRole::kStageOut;
+        fs.chunk_bytes = static_cast<std::uint32_t>(chunk_bytes);
+        fs.name = path.substr(path.find_last_of('/') + 1);
+        const auto send = [&](FrameType type, std::span<const std::uint8_t> payload) {
+          return writer.send(type, payload);
+        };
+        if (!send_file(path, fs, spec.stage_have_chunks, send)) {
           return;  // connection died mid-stream; reconnect will resume
         }
       }

@@ -23,9 +23,9 @@ namespace {
 
 using fpr::Fpr;
 
-// Per-campaign telemetry shared by the in-memory and archive capture
-// loops: query/record/retry counters, end-of-campaign throughput
-// gauges, per-phase wall time, and the user-facing progress callback.
+// Per-campaign telemetry of the capture loop: query/record/retry
+// counters, end-of-campaign throughput gauges, per-phase wall time, and
+// the user-facing progress callback.
 // The callback fires in every build; the metric calls compile to
 // no-ops under FD_OBS=OFF.
 class CampaignTelemetry {
@@ -102,10 +102,22 @@ std::vector<Fpr> known_fft_of_hash(const falcon::Signature& sig, std::string_vie
   return cf;
 }
 
-}  // namespace
-
-TraceSet run_signing_campaign(const falcon::SecretKey& sk, std::size_t slot,
-                              const CampaignConfig& config) {
+// The one capture loop (the paper's known-plaintext measurement): per
+// query, sign a fresh message under the trigger-armed recorder, draw the
+// fault plan on the campaign-global query index, recompute FFT(c) from
+// the salt and the message, then synthesize each slot in
+// [first_slot, end_slot), apply its in-band faults and hand it to
+// `sink`. Every campaign runs this function, so the victim and device
+// RNG streams and the per-query slot order are the same whatever the
+// sink keeps -- the in-memory and archive campaigns are bit-exact twins
+// by construction. A Sink provides
+//   bool put(query, slot, Trace&&, known_re, known_im)
+//   bool finish(probe)  // probe() synthesizes one more window
+// and returns false (with its own error kept) to stop the campaign.
+template <class Sink>
+bool capture_windows(const falcon::SecretKey& sk, const CampaignConfig& config,
+                     std::size_t first_slot, std::size_t end_slot, std::string_view mode,
+                     Sink& sink) {
   const unsigned logn = sk.params.logn;
   const std::size_t hn = sk.params.n >> 1;
 
@@ -114,63 +126,9 @@ TraceSet run_signing_campaign(const falcon::SecretKey& sk, std::size_t slot,
   LastWindowRecorder recorder(hn, config.row);
   const SignerFn signer = config.signer ? config.signer : SignerFn(&falcon::sign);
 
-  TraceSet set;
-  set.slot = slot;
-  set.traces.reserve(config.num_traces);
-  for (std::size_t d = 0; d < config.num_traces; ++d) {
-    const std::string message = "trace-" + std::to_string(d);
-    recorder.start_run();
-    falcon::Signature sig;
-    {
-      fpr::ScopedLeakageSink scope(&recorder);
-      sig = signer(sk, message, victim_rng);
-    }
-    const auto cf = known_fft_of_hash(sig, message, logn);
-    CapturedTrace ct;
-    ct.trace = device.synthesize(recorder.window(slot));
-    ct.known_re = cf[slot];
-    ct.known_im = cf[slot + hn];
-    set.traces.push_back(std::move(ct));
-  }
-  return set;
-}
-
-tracestore::ArchiveMeta make_archive_meta(const falcon::SecretKey& sk,
-                                          const CampaignConfig& config,
-                                          std::size_t samples_per_trace,
-                                          std::size_t traces_per_chunk) {
-  tracestore::ArchiveMeta meta;
-  meta.logn = sk.params.logn;
-  meta.row = config.row;
-  meta.num_slots = static_cast<std::uint32_t>(sk.params.n >> 1);
-  meta.samples_per_trace = static_cast<std::uint32_t>(samples_per_trace);
-  meta.traces_per_chunk = static_cast<std::uint32_t>(traces_per_chunk);
-  meta.alpha = config.device.alpha;
-  meta.noise_sigma = config.device.noise_sigma;
-  meta.samples_per_event = config.device.samples_per_event;
-  meta.jitter_max = config.device.jitter_max;
-  if (config.device.constant_weight) meta.flags |= tracestore::kFlagConstantWeight;
-  meta.seed = config.seed;
-  return meta;
-}
-
-ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
-                                              const CampaignConfig& config,
-                                              const std::string& path,
-                                              std::size_t traces_per_chunk) {
-  const unsigned logn = sk.params.logn;
-  const std::size_t hn = sk.params.n >> 1;
-
-  ChaCha20Prng victim_rng(config.seed ^ 0x5167);
-  EmDeviceModel device(config.device, config.seed ^ 0xD01CE);
-  LastWindowRecorder recorder(hn, config.row);
-  const SignerFn signer = config.signer ? config.signer : SignerFn(&falcon::sign);
-
-  ArchiveCampaignResult out;
-  CampaignTelemetry telemetry(config, "archive");
+  CampaignTelemetry telemetry(config, mode);
   const FaultPlan fplan(config.faults);
-  tracestore::ArchiveWriter writer;
-  tracestore::TraceRecord rec;
+  std::size_t records = 0;
   for (std::size_t d = 0; d < config.num_traces; ++d) {
     const std::string message = "trace-" + std::to_string(d);
     recorder.start_run();
@@ -185,10 +143,9 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
     const QueryFault qf = fplan.enabled() ? fplan.query_fault(gq) : QueryFault{};
     if (qf.drop) {
       // Missed trigger: the victim signed (its RNG stream advanced as
-      // usual) but the scope captured nothing -- no records, no FFT(c)
-      // recomputation, the query index simply never appears on disk.
+      // usual) but the scope captured nothing -- no windows, no FFT(c)
+      // recomputation, the query index simply never appears.
       obs::MetricsRegistry::global().counter("sca.faults.dropped_queries").add(1);
-      ++out.queries;
       telemetry.on_query(recorder, d + 1, 0);
       continue;
     }
@@ -200,67 +157,139 @@ ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
     }
     const auto cf = known_fft_of_hash(sig, message, logn);
     telemetry.mark();
-    for (std::size_t s = 0; s < hn; ++s) {
+    for (std::size_t s = first_slot; s < end_slot; ++s) {
       Trace trace = device.synthesize(recorder.window(s));
-      if (!writer.is_open()) {
-        // First captured window fixes the archive's trace length.
-        const auto meta =
-            make_archive_meta(sk, config, trace.samples.size(), traces_per_chunk);
-        if (!writer.open(path, meta)) {
-          out.error = writer.error();
-          return out;
-        }
-      }
-      if (trace.samples.size() != writer.meta().samples_per_trace) {
-        out.error = "signer produced a ragged window length at query " +
-                    std::to_string(d) + ", slot " + std::to_string(s);
-        return out;
-      }
       if (fplan.enabled()) apply_trace_faults(fplan, qf, gq, s, trace.samples);
       telemetry.charge(CampaignTelemetry::kSynth);
-      rec.slot = static_cast<std::uint32_t>(s);
-      rec.index = static_cast<std::uint32_t>(d);
-      rec.known_re_bits = cf[s].bits();
-      rec.known_im_bits = cf[s + hn].bits();
-      rec.samples = std::move(trace.samples);
-      if (!writer.append(rec)) {
-        out.error = writer.error();
-        return out;
-      }
+      if (!sink.put(d, s, std::move(trace), cf[s], cf[s + hn])) return false;
       telemetry.charge(CampaignTelemetry::kWrite);
-      ++out.records;
     }
-    ++out.queries;
-    telemetry.on_query(recorder, d + 1, hn);
-  }
-  if (!writer.is_open()) {
-    if (config.num_traces == 0) {
-      out.error = "archive campaign needs at least one query";
-      return out;
-    }
-    // Every query dropped (possible for a small shard under a harsh
-    // plan): emit a valid empty archive so sharded merges still work.
-    // The recorder holds the last run's windows, which fixes the length.
-    const Trace probe = device.synthesize(recorder.window(0));
-    const auto meta = make_archive_meta(sk, config, probe.samples.size(), traces_per_chunk);
-    if (!writer.open(path, meta)) {
-      out.error = writer.error();
-      return out;
-    }
+    records += end_slot - first_slot;
+    telemetry.on_query(recorder, d + 1, end_slot - first_slot);
   }
   telemetry.mark();
-  if (!writer.close()) {
-    out.error = writer.error();
-    return out;
-  }
+  if (!sink.finish([&] { return device.synthesize(recorder.window(0)); })) return false;
   telemetry.charge(CampaignTelemetry::kWrite);
-  telemetry.finish(out.queries, out.records);
-  if (config.faults.chunk_corrupt_rate > 0.0) {
-    std::string cerr;
-    if (!corrupt_archive_chunks(path, fplan, nullptr, &cerr)) {
-      out.error = cerr;
-      return out;
+  telemetry.finish(config.num_traces, records);
+  return true;
+}
+
+// Appends each window to its slot's TraceSet (sets[slot - first_slot]).
+struct TraceSetSink {
+  TraceSetSink(std::size_t first, std::size_t end, std::size_t traces)
+      : first_slot(first), sets(end - first) {
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      sets[i].slot = first + i;
+      sets[i].traces.reserve(traces);
     }
+  }
+  bool put(std::size_t, std::size_t slot, Trace&& trace, Fpr known_re, Fpr known_im) {
+    sets[slot - first_slot].traces.push_back({std::move(trace), known_re, known_im});
+    return true;
+  }
+  bool finish(auto&&) { return true; }
+
+  std::size_t first_slot;
+  std::vector<TraceSet> sets;
+};
+
+// Streams each window into an .fdtrace archive as one record. The first
+// window fixes the archive's trace length and a later window of another
+// length is rejected, never written ragged.
+struct ArchiveSink {
+  bool put(std::size_t query, std::size_t slot, Trace&& trace, Fpr known_re, Fpr known_im) {
+    if (!writer.is_open() && !open(trace.samples.size())) return false;
+    if (trace.samples.size() != writer.meta().samples_per_trace) {
+      out.error = "signer produced a ragged window length at query " + std::to_string(query) +
+                  ", slot " + std::to_string(slot);
+      return false;
+    }
+    rec.slot = static_cast<std::uint32_t>(slot);
+    rec.index = static_cast<std::uint32_t>(query);
+    rec.known_re_bits = known_re.bits();
+    rec.known_im_bits = known_im.bits();
+    rec.samples = std::move(trace.samples);
+    if (!writer.append(rec)) {
+      out.error = writer.error();
+      return false;
+    }
+    ++out.records;
+    return true;
+  }
+
+  bool finish(auto&& probe) {
+    if (!writer.is_open()) {
+      if (config.num_traces == 0) {
+        out.error = "archive campaign needs at least one query";
+        return false;
+      }
+      // Every query dropped (possible for a small shard under a harsh
+      // plan): emit a valid empty archive so sharded merges still work.
+      // The recorder holds the last run's windows, which fixes the length.
+      if (!open(probe().samples.size())) return false;
+    }
+    if (!writer.close()) {
+      out.error = writer.error();
+      return false;
+    }
+    return true;
+  }
+
+  bool open(std::size_t samples_per_trace) {
+    tracestore::ArchiveMeta meta;
+    meta.logn = sk.params.logn;
+    meta.row = config.row;
+    meta.num_slots = static_cast<std::uint32_t>(sk.params.n >> 1);
+    meta.samples_per_trace = static_cast<std::uint32_t>(samples_per_trace);
+    meta.traces_per_chunk = static_cast<std::uint32_t>(traces_per_chunk);
+    meta.alpha = config.device.alpha;
+    meta.noise_sigma = config.device.noise_sigma;
+    meta.samples_per_event = config.device.samples_per_event;
+    meta.jitter_max = config.device.jitter_max;
+    if (config.device.constant_weight) meta.flags |= tracestore::kFlagConstantWeight;
+    meta.seed = config.seed;
+    if (writer.open(path, meta)) return true;
+    out.error = writer.error();
+    return false;
+  }
+
+  const falcon::SecretKey& sk;
+  const CampaignConfig& config;
+  const std::string& path;
+  std::size_t traces_per_chunk;
+  ArchiveCampaignResult& out;
+  tracestore::ArchiveWriter writer{};
+  tracestore::TraceRecord rec{};
+};
+
+}  // namespace
+
+TraceSet run_signing_campaign(const falcon::SecretKey& sk, std::size_t slot,
+                              const CampaignConfig& config) {
+  TraceSetSink sink(slot, slot + 1, config.num_traces);
+  capture_windows(sk, config, slot, slot + 1, "inmemory", sink);
+  return std::move(sink.sets[0]);
+}
+
+std::vector<TraceSet> run_full_campaign(const falcon::SecretKey& sk,
+                                        const CampaignConfig& config) {
+  const std::size_t hn = sk.params.n >> 1;
+  TraceSetSink sink(0, hn, config.num_traces);
+  capture_windows(sk, config, 0, hn, "inmemory", sink);
+  return std::move(sink.sets);
+}
+
+ArchiveCampaignResult run_campaign_to_archive(const falcon::SecretKey& sk,
+                                              const CampaignConfig& config,
+                                              const std::string& path,
+                                              std::size_t traces_per_chunk) {
+  ArchiveCampaignResult out;
+  ArchiveSink sink{sk, config, path, traces_per_chunk, out};
+  if (!capture_windows(sk, config, 0, sk.params.n >> 1, "archive", sink)) return out;
+  out.queries = config.num_traces;
+  if (config.faults.chunk_corrupt_rate > 0.0 &&
+      !corrupt_archive_chunks(path, FaultPlan(config.faults), nullptr, &out.error)) {
+    return out;
   }
   out.ok = true;
   return out;
@@ -422,65 +451,6 @@ bool load_trace_sets_for(tracestore::ArchiveReader& reader,
     out[route[rec.slot]].traces.push_back(std::move(ct));
   }
   return true;
-}
-
-std::vector<TraceSet> run_full_campaign(const falcon::SecretKey& sk,
-                                        const CampaignConfig& config) {
-  const unsigned logn = sk.params.logn;
-  const std::size_t hn = sk.params.n >> 1;
-
-  ChaCha20Prng victim_rng(config.seed ^ 0x5167);
-  EmDeviceModel device(config.device, config.seed ^ 0xD01CE);
-  LastWindowRecorder recorder(hn, config.row);
-  const SignerFn signer = config.signer ? config.signer : SignerFn(&falcon::sign);
-
-  CampaignTelemetry telemetry(config, "inmemory");
-  const FaultPlan fplan(config.faults);
-  std::vector<TraceSet> sets(hn);
-  for (std::size_t s = 0; s < hn; ++s) {
-    sets[s].slot = s;
-    sets[s].traces.reserve(config.num_traces);
-  }
-  std::size_t captured = 0;
-  for (std::size_t d = 0; d < config.num_traces; ++d) {
-    const std::string message = "trace-" + std::to_string(d);
-    recorder.start_run();
-    falcon::Signature sig;
-    telemetry.mark();
-    {
-      fpr::ScopedLeakageSink scope(&recorder);
-      sig = signer(sk, message, victim_rng);
-    }
-    telemetry.charge(CampaignTelemetry::kSign);
-    const std::uint64_t gq = config.fault_query_offset + d;
-    const QueryFault qf = fplan.enabled() ? fplan.query_fault(gq) : QueryFault{};
-    if (qf.drop) {
-      obs::MetricsRegistry::global().counter("sca.faults.dropped_queries").add(1);
-      telemetry.on_query(recorder, d + 1, 0);
-      continue;
-    }
-    if (qf.desync != 0) {
-      obs::MetricsRegistry::global().counter("sca.faults.desynced_queries").add(1);
-    }
-    if (qf.saturate) {
-      obs::MetricsRegistry::global().counter("sca.faults.saturated_queries").add(1);
-    }
-    const auto cf = known_fft_of_hash(sig, message, logn);
-    telemetry.mark();
-    for (std::size_t s = 0; s < hn; ++s) {
-      CapturedTrace ct;
-      ct.trace = device.synthesize(recorder.window(s));
-      if (fplan.enabled()) apply_trace_faults(fplan, qf, gq, s, ct.trace.samples);
-      ct.known_re = cf[s];
-      ct.known_im = cf[s + hn];
-      sets[s].traces.push_back(std::move(ct));
-    }
-    telemetry.charge(CampaignTelemetry::kSynth);
-    ++captured;
-    telemetry.on_query(recorder, d + 1, hn);
-  }
-  telemetry.finish(config.num_traces, captured * hn);
-  return sets;
 }
 
 }  // namespace fd::sca

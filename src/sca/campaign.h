@@ -8,6 +8,12 @@
 // (r, message) it recomputes c = HashToPoint(r||m) and FFT(c) with the
 // public code, so for every captured window it knows the exact 64-bit
 // operand that was multiplied with the secret FFT(f) coefficient.
+//
+// The three campaign entry points below -- one slot in memory, every
+// slot in memory, every slot to an archive -- run one and the same
+// per-query capture loop and differ only in which slots they keep and
+// where the windows go. All three apply `faults`, call `progress` and
+// emit the sca.campaign telemetry.
 
 #include <chrono>
 #include <cstdint>
@@ -60,10 +66,10 @@ struct CampaignConfig {
   std::size_t progress_every = 0;
   // Deterministic rig-failure injection (sca/faults.h). The all-zero
   // default is the pristine rig: capture behaves bit-identically to a
-  // build without the fault layer. Applied by the full-campaign and
-  // archive paths (drop/desync/saturate/glitch in-band, chunk damage
-  // post-write); capture_fail_rate is the *caller's* retry surface
-  // (recovery pipeline), never acted on here.
+  // build without the fault layer. Every campaign applies the in-band
+  // modes (drop/desync/saturate/glitch); the archive path also applies
+  // chunk damage post-write. capture_fail_rate is the *caller's* retry
+  // surface (recovery pipeline), never acted on here.
   FaultConfig faults;
   // Campaign-global index of this run's first query: sharded capture
   // sets it to the shard's range start so the fault plan keys on global
@@ -73,7 +79,10 @@ struct CampaignConfig {
 };
 
 // Captures the FFT(c) (.) FFT(-f) window of one complex slot over
-// `num_traces` signing queries on distinct messages.
+// `num_traces` signing queries on distinct messages. Only that slot's
+// window is synthesized per query, so its samples differ from slot
+// `slot` of run_full_campaign (the device noise stream is drawn per
+// window) while the kept queries and known operands are the same.
 [[nodiscard]] TraceSet run_signing_campaign(const falcon::SecretKey& sk, std::size_t slot,
                                             const CampaignConfig& config);
 
@@ -84,17 +93,12 @@ struct CampaignConfig {
 
 // --- persistent capture (capture once, attack many) -----------------------
 //
-// The archive mode is the bit-exact twin of run_full_campaign: the same
-// victim/device RNG streams, the same per-query slot order, but every
+// The archive mode is the bit-exact twin of run_full_campaign by
+// construction: both run the same capture loop (same victim/device RNG
+// streams, same per-query slot order, same faults), but every
 // (query, slot) window goes straight to disk as a tracestore record, so
 // capture memory is O(n) per query regardless of num_traces. Shards
 // captured under different seeds merge with tracestore::merge_archives.
-
-// Archive metadata describing a campaign under this config.
-[[nodiscard]] tracestore::ArchiveMeta make_archive_meta(const falcon::SecretKey& sk,
-                                                        const CampaignConfig& config,
-                                                        std::size_t samples_per_trace,
-                                                        std::size_t traces_per_chunk);
 
 struct ArchiveCampaignResult {
   std::size_t queries = 0;  // signing runs captured

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -361,6 +362,94 @@ TEST(CapturePins, KeptShardsMatchReference) {
     EXPECT_EQ(file_digest(res.shard_paths[0]), kShard0Digest[i])
         << std::hex << "0x" << file_digest(res.shard_paths[0]);
     for (const auto& p : res.shard_paths) std::remove(p.c_str());
+  }
+}
+
+// --- in-memory capture pinned ----------------------------------------------
+//
+// The in-memory campaigns share the archive path's capture loop; these
+// digests pin their TraceSets the same way the archive pins pin files.
+
+void inject_u64(Shake256& sh, std::uint64_t v) {
+  std::uint8_t b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  sh.inject(b);
+}
+
+// First 64 bits of SHAKE256 over every trace's sample bits and its
+// known-operand bits, set by set, in capture order.
+std::uint64_t trace_sets_digest(const std::vector<TraceSet>& sets) {
+  Shake256 sh;
+  for (const TraceSet& set : sets) {
+    inject_u64(sh, set.slot);
+    inject_u64(sh, set.traces.size());
+    for (const CapturedTrace& ct : set.traces) {
+      for (const float v : ct.trace.samples) inject_u64(sh, std::bit_cast<std::uint32_t>(v));
+      inject_u64(sh, ct.known_re.bits());
+      inject_u64(sh, ct.known_im.bits());
+    }
+  }
+  sh.flip();
+  return sh.extract_u64();
+}
+
+struct InMemoryPin {
+  bool faulted;
+  unsigned row;
+  std::uint64_t digest;
+};
+
+constexpr InMemoryPin kInMemoryPins[] = {
+    {false, 0, 0xeed7aeb0a9c7e829ULL},
+    {true, 0, 0x9d3c4f3bd8a3c80dULL},
+    {false, 1, 0x6bdcdaf579032fc4ULL},
+    {true, 1, 0xf5a9c0ed0b12f253ULL},
+};
+
+TEST(CapturePins, InMemoryFullCampaignMatchesReference) {
+  const auto kp = pin_key();
+  for (const InMemoryPin& pin : kInMemoryPins) {
+    const auto cfg = pin_config(1, pin.faulted, pin.row).base;
+    const std::uint64_t got = trace_sets_digest(run_full_campaign(kp.sk, cfg));
+    EXPECT_EQ(got, pin.digest) << std::hex << "0x" << got << std::dec << " faulted "
+                               << pin.faulted << ", row " << pin.row;
+  }
+}
+
+TEST(CapturePins, InMemoryMaskedSignerMatchesReference) {
+  const auto kp = pin_key();
+  auto cfg = pin_config(1, /*faulted=*/false).base;
+  cfg.signer = &falcon::sign_masked;
+  const std::uint64_t got = trace_sets_digest(run_full_campaign(kp.sk, cfg));
+  EXPECT_EQ(got, 0x7f7c940c5ecab475ULL) << std::hex << "0x" << got;
+}
+
+TEST(CapturePins, InMemoryOneSlotCampaignMatchesReference) {
+  const auto kp = pin_key();
+  const auto cfg = pin_config(1, /*faulted=*/false).base;
+  const std::uint64_t got = trace_sets_digest({run_signing_campaign(kp.sk, 2, cfg)});
+  EXPECT_EQ(got, 0x6880af904fe53b23ULL) << std::hex << "0x" << got;
+}
+
+// A one-slot campaign runs the same fault plan as the full campaign: a
+// dropped query is missing from both, so the slot keeps exactly the
+// full campaign's queries and known operands. (Its samples differ: the
+// device synthesizes only the requested slot's window per query.)
+TEST(Campaign, OneSlotCampaignDropsTheFullCampaignsQueries) {
+  const auto kp = pin_key();
+  auto cfg = pin_config(1, /*faulted=*/false).base;
+  std::string err;
+  ASSERT_TRUE(parse_fault_plan("drop=0.3", cfg.faults, &err)) << err;
+  const std::size_t slot = 2;
+  const TraceSet one = run_signing_campaign(kp.sk, slot, cfg);
+  const auto full = run_full_campaign(kp.sk, cfg);
+  const TraceSet& want = full[slot];
+  EXPECT_EQ(one.slot, slot);
+  ASSERT_LT(want.traces.size(), cfg.num_traces) << "no query dropped; raise the drop rate";
+  ASSERT_EQ(one.traces.size(), want.traces.size());
+  for (std::size_t t = 0; t < want.traces.size(); ++t) {
+    EXPECT_EQ(one.traces[t].known_re.bits(), want.traces[t].known_re.bits()) << "trace " << t;
+    EXPECT_EQ(one.traces[t].known_im.bits(), want.traces[t].known_im.bits()) << "trace " << t;
   }
 }
 

@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "falcon/falcon.h"
 #include "sca/campaign.h"
+#include "sca/faults.h"
 #include "tracestore/archive.h"
 
 namespace fd::attack {
@@ -87,6 +88,49 @@ TEST(StreamingCpa, ArchiveReproducesInMemoryCampaignBitExactly) {
       ASSERT_EQ(disk.trace.samples.size(), mem.trace.samples.size());
       for (std::size_t i = 0; i < mem.trace.samples.size(); ++i) {
         EXPECT_EQ(disk.trace.samples[i], mem.trace.samples[i]);  // bit-exact floats
+      }
+    }
+  }
+}
+
+// The twin property under an in-band fault plan (no chunk damage): the
+// in-memory campaign and the archive read back agree record for record
+// -- the same dropped queries, the same desynced, clipped and glitched
+// samples -- for both basis rows.
+TEST(StreamingCpa, FaultedArchiveReproducesInMemoryCampaign) {
+  ChaCha20Prng rng(0xC0FD);
+  const auto kp = falcon::keygen(4, rng);
+  for (const unsigned row : {0U, 1U}) {
+    auto cfg = small_config(0xC0FD);
+    cfg.num_traces = 60;
+    cfg.row = row;
+    std::string err;
+    ASSERT_TRUE(sca::parse_fault_plan("drop=0.1,desync=0.05,sat=0.02,glitch=0.01", cfg.faults,
+                                      &err))
+        << err;
+    const auto sets = sca::run_full_campaign(kp.sk, cfg);
+
+    TempFile tmp("sc_faulted.fdtrace");
+    const auto res = sca::run_campaign_to_archive(kp.sk, cfg, tmp.path);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.queries, cfg.num_traces);
+    EXPECT_LT(res.records, cfg.num_traces * sets.size()) << "no query dropped";
+    tracestore::ArchiveReader reader;
+    ASSERT_TRUE(reader.open(tmp.path)) << reader.error();
+    std::vector<std::size_t> slots(sets.size());
+    for (std::size_t s = 0; s < slots.size(); ++s) slots[s] = s;
+    std::vector<sca::TraceSet> loaded;
+    ASSERT_TRUE(sca::load_trace_sets_for(reader, slots, loaded));
+    ASSERT_EQ(loaded.size(), sets.size());
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      ASSERT_EQ(loaded[s].traces.size(), sets[s].traces.size()) << "row " << row << " slot " << s;
+      for (std::size_t t = 0; t < sets[s].traces.size(); ++t) {
+        const auto& mem = sets[s].traces[t];
+        const auto& disk = loaded[s].traces[t];
+        EXPECT_EQ(disk.known_re.bits(), mem.known_re.bits());
+        EXPECT_EQ(disk.known_im.bits(), mem.known_im.bits());
+        ASSERT_EQ(disk.trace.samples, mem.trace.samples) << "row " << row << " slot " << s
+                                                         << " trace " << t;
       }
     }
   }
